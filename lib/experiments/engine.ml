@@ -23,11 +23,6 @@ let fast_forward () = !ff
 
 (* --- persistent worker pool ------------------------------------------- *)
 
-(* True on any domain currently executing pool jobs: a nested fan-out
-   (e.g. a suite job on the serve daemon calling [prefetch]) must reuse
-   the pool it runs on rather than resize it out from under itself. *)
-let on_pool_worker = Domain.DLS.new_key (fun () -> false)
-
 module Pool = struct
   type t = {
     queue : (unit -> unit) Queue.t;
@@ -38,10 +33,8 @@ module Pool = struct
     n_workers : int;
   }
 
-  (* Workers drain the queue before exiting, so [shutdown] never drops
-     submitted jobs. *)
+  (* Workers drain the queue before exiting. *)
   let worker_loop t =
-    Domain.DLS.set on_pool_worker true;
     let rec go () =
       Mutex.lock t.mutex;
       while Queue.is_empty t.queue && not t.stopping do
@@ -75,27 +68,15 @@ module Pool = struct
 
   let workers t = t.n_workers
 
-  let submit ?ctx t job =
-    (* [ctx] rides along to the worker domain as ambient logging context
-       (request id and friends), so every log line the job emits carries
-       the fields of the request that submitted it. *)
-    let job =
-      match ctx with
-      | None | Some [] -> job
-      | Some fields -> fun () -> Telemetry.Log.with_ctx fields job
-    in
+  let push t job =
     Mutex.lock t.mutex;
-    if t.stopping then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Engine.Pool.submit: pool is shut down"
-    end;
     Queue.push job t.queue;
     Condition.signal t.nonempty;
     Mutex.unlock t.mutex
 
   (* Run one queued job on the calling domain; false when the queue is
-     empty. The submitting domain participates in its own batches, so a
-     0-worker pool is simply the serial engine. *)
+     empty. The caller participates in its own batches, so a 0-worker
+     pool is simply the serial engine. *)
   let try_run_one t =
     Mutex.lock t.mutex;
     if Queue.is_empty t.queue then begin
@@ -125,10 +106,10 @@ module Pool = struct
         end
       in
       for i = 0 to n - 1 do
-        submit t (fun () -> run i)
+        push t (fun () -> run i)
       done;
-      (* Participate: drain queued jobs (possibly other batches') until
-         empty, then wait for stragglers running on other domains. *)
+      (* Participate: drain queued jobs until empty, then wait for
+         stragglers running on other domains. *)
       while try_run_one t do () done;
       Mutex.lock done_m;
       while Atomic.get remaining > 0 do
@@ -151,9 +132,7 @@ module Pool = struct
     Mutex.unlock t.mutex;
     if not already then begin
       List.iter Domain.join t.domains;
-      t.domains <- [];
-      (* A 0-worker pool has nobody else to drain residual jobs. *)
-      while try_run_one t do () done
+      t.domains <- []
     end
 end
 
@@ -169,23 +148,12 @@ let shared_pool ~workers =
     ~finally:(fun () -> Mutex.unlock pool_lock)
     (fun () ->
       match !the_pool with
-      | Some p
-        when Pool.workers p = workers || Domain.DLS.get on_pool_worker ->
-          (* A nested call from a worker keeps the current pool whatever
-             size was asked for — resizing would join our own domain. *)
-          p
+      | Some p when Pool.workers p = workers -> p
       | prev ->
           (match prev with Some p -> Pool.shutdown p | None -> ());
           let p = Pool.create ~workers in
           the_pool := Some p;
           p)
-
-let shutdown_pool () =
-  Mutex.lock pool_lock;
-  let p = !the_pool in
-  the_pool := None;
-  Mutex.unlock pool_lock;
-  match p with Some p -> Pool.shutdown p | None -> ()
 
 (* --- persistent store configuration ---------------------------------- *)
 
@@ -240,9 +208,9 @@ let key ?es_override ?options ?variant cfg ~arch technique spec =
 
 (* --- in-memory and on-disk caches ------------------------------------ *)
 
-(* The in-memory table is shared by every domain that runs cells (the
-   serve daemon's suite jobs call [run] from pool workers), so accesses
-   go through one mutex. Computation never happens under the lock. *)
+(* The in-memory table may be touched from any domain that runs cells,
+   so accesses go through one mutex. Computation never happens under the
+   lock. *)
 let cache : (string, Runner.run) Hashtbl.t = Hashtbl.create 64
 
 let cache_lock = Mutex.create ()
@@ -269,27 +237,10 @@ let clear () = with_cache (fun () -> Hashtbl.reset cache)
    phases live in [Runner]. Registered before any domain spawns. *)
 let merge_phase = Telemetry.Profile.phase "engine.merge"
 
-let compute ?telemetry cfg c =
+let compute cfg c =
   let options = resolved_options c in
   let kernel = Exp_config.kernel_of cfg c.spec in
-  Runner.execute ?telemetry ~options ~fast_forward:!ff c.arch c.technique kernel
-
-let cached cfg c =
-  let k = key_of_cell cfg c in
-  match mem_find k with
-  | Some run -> Some run
-  | None -> (
-      match Result_store.load k with
-      | Some run ->
-          mem_add k run;
-          Some run
-      | None -> None)
-
-let insert cfg c run =
-  let k = key_of_cell cfg c in
-  Atomic.incr misses;
-  mem_add k run;
-  Result_store.store k run
+  Runner.execute ~options ~fast_forward:!ff c.arch c.technique kernel
 
 let lookup cfg c =
   let k = key_of_cell cfg c in

@@ -56,49 +56,29 @@ val run :
   Regmutex.Runner.run
 
 (** Persistent worker pool: domains are spawned once at {!Pool.create}
-    and reused across every {!Pool.map} / {!Pool.submit} until
-    {!Pool.shutdown}, replacing the old spawn/join-per-call fan-out.
+    and reused across every {!Pool.map} until {!Pool.shutdown}.
     {!parallel_map} (and through it {!prefetch} and the fuzz driver) runs
-    on one process-wide shared pool ({!shared_pool}); the serve daemon
-    feeds its job queue into the same pool. *)
+    on one process-wide shared pool, resized when a call asks for a
+    different worker count. *)
 module Pool : sig
   type t
 
   (** [create ~workers] spawns [workers] (>= 0) domains. A 0-worker pool
-      is valid: jobs only run when the submitting domain participates
-      through {!map}. *)
+      is valid: the caller of {!map} runs every task itself. *)
   val create : workers:int -> t
 
   val workers : t -> int
 
-  (** Enqueue one asynchronous job; it runs on some worker (exceptions
-      are swallowed — jobs that can fail must capture their own result).
-      [?ctx] installs ambient {!Telemetry.Log} context fields around the
-      job on whichever domain runs it, so log lines it emits carry the
-      submitting request's id.
-      @raise Invalid_argument after {!shutdown}. *)
-  val submit : ?ctx:Telemetry.Log.field list -> t -> (unit -> unit) -> unit
-
-  (** [map t tasks f] — blocking batch: the caller submits one job per
+  (** [map t tasks f] — blocking batch: the caller queues one job per
       task, participates in draining the queue, and waits for the batch.
       Results come back in submission order regardless of worker count —
       deterministic fan-out. A task that raises has its exception
       re-raised on the caller. *)
   val map : t -> 'a array -> ('a -> 'b) -> 'b array
 
-  (** Stop accepting jobs, drain everything already queued, and join the
-      worker domains. Idempotent. *)
+  (** Stop the workers and join their domains. Idempotent. *)
   val shutdown : t -> unit
 end
-
-(** The process-wide pool, (re)sized to [workers] worker domains. An
-    existing pool of another size is drained and replaced — except when
-    called from a pool worker (a nested fan-out), which always reuses
-    the pool it is running on. *)
-val shared_pool : workers:int -> Pool.t
-
-(** Drain and join the shared pool (no-op when none exists). *)
-val shutdown_pool : unit -> unit
 
 (** [parallel_map ~jobs tasks f] maps [f] over [tasks] with [jobs]-way
     parallelism on the shared persistent pool ([jobs - 1] workers plus
@@ -150,29 +130,6 @@ val cache_dir : unit -> string option
 (** Drop all in-memory cached runs (tests use this to control sharing).
     The on-disk store, if enabled, is untouched. *)
 val clear : unit -> unit
-
-(** {2 Daemon-facing primitives}
-
-    The serve daemon separates the three steps [lookup] fuses, so cache
-    probes and inserts stay on its coordinator thread while computes run
-    on pool workers. *)
-
-(** Full cache key of a cell (same as {!key}). *)
-val key_of_cell : Exp_config.t -> cell -> string
-
-(** Probe both cache layers (promoting a disk hit to memory); never
-    simulates, never counts a miss. *)
-val cached : Exp_config.t -> cell -> Regmutex.Runner.run option
-
-(** Simulate unconditionally, bypassing both cache layers. Safe on any
-    domain. [?telemetry] attaches a trace sink to the run (the serve
-    daemon gives each cold compute a per-request sink so the simulation
-    spans land in that request's merged trace). *)
-val compute : ?telemetry:Telemetry.Sink.t -> Exp_config.t -> cell -> Regmutex.Runner.run
-
-(** Record an externally-computed run in both cache layers, counting one
-    simulation. *)
-val insert : Exp_config.t -> cell -> Regmutex.Runner.run -> unit
 
 (** Number of simulations actually executed by this process (misses in
     both cache layers). *)

@@ -152,54 +152,12 @@ let extract_simt j =
   in
   (ms, invs)
 
-let extract_serve j =
-  let config = config_of j in
-  let simple =
-    List.filter_map
-      (fun name ->
-        Option.map (fun v -> metric ~config ("serve." ^ name) v) (num j name))
-      [ "warm_speedup" ]
-  in
-  let coalescing =
-    match field j "coalescing" with
-    | Some co -> (
-        match num co "factor" with
-        | Some v -> [ metric ~config "serve.coalescing_factor" v ]
-        | None -> [])
-    | None -> []
-  in
-  let throughput =
-    match field j "throughput" with
-    | Some (J.List rows) ->
-        List.filter_map
-          (fun row ->
-            match (num row "clients", num row "vs_serial") with
-            | Some c, Some v ->
-                Some
-                  (metric ~config
-                     (Printf.sprintf "serve.tp%d_vs_serial" (int_of_float c))
-                     v)
-            | _ -> None)
-          rows
-    | _ -> []
-  in
-  let invs =
-    List.filter_map
-      (fun name ->
-        Option.map
-          (fun ok -> { inv_key = "serve." ^ name; ok })
-          (boolean j name))
-      [ "fingerprints_identical"; "warm_ok"; "tp4_ok" ]
-  in
-  (simple @ coalescing @ throughput, invs)
-
 let extract j =
   match str j "bench" with
   | Some "cycle_skip" -> Some (extract_cycle_skip j)
   | Some "soa_core" -> Some (extract_soa_core j)
   | Some "telemetry_overhead" -> Some (extract_telemetry_overhead j)
   | Some "regdem" -> Some (extract_regdem j)
-  | Some "serve" -> Some (extract_serve j)
   | Some "simt" -> Some (extract_simt j)
   | _ -> None
 
@@ -313,21 +271,24 @@ type outcome = {
 
 let check ?(tolerance = 0.05) snapshot baseline =
   let floor = 1. -. tolerance in
-  let compared, skipped =
+  (* A config mismatch or a baseline key nothing measures any more is a
+     failure, not a skip: either would let a stale baseline entry hide a
+     retired or re-configured bench from the gate indefinitely. *)
+  let compared, skipped, mismatched =
     List.fold_left
-      (fun (cs, sk) m ->
+      (fun (cs, sk, mm) m ->
         match List.find_opt (fun b -> String.equal b.key m.key) baseline with
-        | None -> (cs, sk @ [ (m.key, "not in baseline") ])
+        | None -> (cs, sk @ [ (m.key, "not in baseline") ], mm)
         | Some b when not (String.equal b.config m.config) ->
             ( cs,
-              sk
+              sk,
+              mm
               @ [
-                  ( m.key,
-                    Printf.sprintf "config mismatch (%s vs baseline %s)"
-                      m.config b.config );
+                  Printf.sprintf "%s: config mismatch (%s vs baseline %s)"
+                    m.key m.config b.config;
                 ] )
         | Some b when b.value <= 0. || m.value <= 0. ->
-            (cs, sk @ [ (m.key, "non-positive value") ])
+            (cs, sk @ [ (m.key, "non-positive value") ], mm)
         | Some b ->
             let ratio =
               if m.higher_better then m.value /. b.value
@@ -343,18 +304,18 @@ let check ?(tolerance = 0.05) snapshot baseline =
                     ratio;
                   };
                 ],
-              sk ))
-      ([], []) snapshot.metrics
+              sk,
+              mm ))
+      ([], [], []) snapshot.metrics
   in
   let stale =
     List.filter_map
       (fun b ->
         if List.exists (fun m -> String.equal m.key b.key) snapshot.metrics
         then None
-        else Some (b.key, "in baseline but not measured"))
+        else Some (Printf.sprintf "%s: in baseline but not measured" b.key))
       baseline
   in
-  let skipped = skipped @ stale in
   let geomean =
     match compared with
     | [] -> None
@@ -375,6 +336,7 @@ let check ?(tolerance = 0.05) snapshot baseline =
       | Some g when g < floor ->
           [ Printf.sprintf "geomean ratio %.3f < %.3f" g floor ]
       | _ -> [])
+    @ mismatched @ stale
     @ List.filter_map
         (fun i ->
           if i.ok then None

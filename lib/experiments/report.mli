@@ -2,7 +2,7 @@
     artifacts, compare them against the checked-in baseline
     ([bench/trajectory.json]) and fail on regressions.
 
-    Every bench harness (cycles, soa, telemetry, serve) writes one JSON
+    Every bench harness (cycles, soa, regdem, telemetry, simt) writes one JSON
     artifact at the repo root. {!scan} normalizes each known kind into
 
     - {e metrics}: named scalars with a direction ([higher_better]) and
@@ -10,18 +10,21 @@
       speedups, coalescing factors, the telemetry overhead as a
       [1 + pct/100] factor;
     - {e invariants}: named booleans that must hold outright
-      (fingerprint identity across stepping modes, the serve gates).
+      (fingerprint identity across stepping modes and execution models).
 
     {!check} compares a scan against a baseline metric list: each metric
     present in both (same key {e and} same config — quick and full
     timings are never comparable) gets a ratio normalized so [>= 1] is
     an improvement; the check fails when any ratio or the geomean of
     all ratios falls below [1 - tolerance], or any invariant is false.
-    Metrics missing on either side are reported as skipped, never
-    failed, so adding a bench never breaks the gate retroactively. *)
+    It also fails on a metric measured under a different config than its
+    baseline entry and on a baseline entry no artifact measures any more,
+    so a retired or re-configured bench must be rebaselined explicitly.
+    A measured metric absent from the baseline is reported as skipped,
+    so adding a bench never breaks the gate retroactively. *)
 
 type metric = {
-  key : string;  (** e.g. ["serve.warm_speedup"] *)
+  key : string;  (** e.g. ["cycle_skip.max_speedup"] *)
   value : float;
   higher_better : bool;
   config : string;  (** ["quick"] | ["full"] (or [""] when unstated) *)

@@ -3,8 +3,6 @@ module Runner = Regmutex.Runner
 type stats = {
   entries : int;
   bytes : int;
-  limit_bytes : int option;
-  evictions : int;
   version : string;
 }
 
@@ -25,27 +23,17 @@ let simulator_version =
 let version_tag () =
   Printf.sprintf "v%d-%s" schema_version (Lazy.force simulator_version)
 
-(* --- index state ------------------------------------------------------- *)
-
-type entry = { mutable e_bytes : int; mutable e_seq : int }
-
 let lock = Mutex.create ()
 let root_ref = ref None
-let limit_ref = ref None
-let index : (string, entry) Hashtbl.t = Hashtbl.create 64
-let pins : (string, int) Hashtbl.t = Hashtbl.create 16
-let next_seq = ref 1
-let evictions = ref 0
-let loaded = ref false
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let version_dir root = Filename.concat root (version_tag ())
-let digest_of_key k = Digest.to_hex (Digest.string k)
-let file_of_digest root d = Filename.concat (version_dir root) (d ^ ".run")
-let index_file root = Filename.concat (version_dir root) "INDEX"
+
+let file_of_key root k =
+  Filename.concat (version_dir root) (Digest.to_hex (Digest.string k) ^ ".run")
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -53,231 +41,54 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* The index is tiny (one short line per entry); rewriting it atomically
-   on each mutation is cheaper than being clever and keeps it crash-safe. *)
-let persist_index root =
-  try
-    mkdir_p (version_dir root);
-    let tmp = Printf.sprintf "%s.%d.tmp" (index_file root) (Unix.getpid ()) in
-    let oc = open_out tmp in
-    Hashtbl.iter
-      (fun d e -> Printf.fprintf oc "%s %d %d\n" d e.e_bytes e.e_seq)
-      index;
-    close_out oc;
-    Sys.rename tmp (index_file root)
-  with Sys_error _ | Unix.Unix_error _ -> ()
-
-let load_index root =
-  Hashtbl.reset index;
-  next_seq := 1;
-  (try
-     let ic = open_in (index_file root) in
-     Fun.protect
-       ~finally:(fun () -> close_in_noerr ic)
-       (fun () ->
-         try
-           while true do
-             let line = input_line ic in
-             match String.split_on_char ' ' (String.trim line) with
-             | [ d; bytes; seq ] -> (
-                 match (int_of_string_opt bytes, int_of_string_opt seq) with
-                 | Some b, Some s ->
-                     if Sys.file_exists (file_of_digest root d) then begin
-                       Hashtbl.replace index d { e_bytes = b; e_seq = s };
-                       if s >= !next_seq then next_seq := s + 1
-                     end
-                 | _ -> ())
-             | _ -> ()
-           done
-         with End_of_file -> ())
-   with Sys_error _ -> ());
-  (* Adopt files the index does not know (written by a pre-LRU build or a
-     concurrent process): size from stat, last-use 0 — evicted first. *)
-  (try
-     Array.iter
-       (fun name ->
-         if Filename.check_suffix name ".run" then begin
-           let d = Filename.chop_suffix name ".run" in
-           if not (Hashtbl.mem index d) then
-             try
-               let st = Unix.stat (file_of_digest root d) in
-               Hashtbl.replace index d
-                 { e_bytes = st.Unix.st_size; e_seq = 0 }
-             with Unix.Unix_error _ -> ()
-         end)
-       (Sys.readdir (version_dir root))
-   with Sys_error _ -> ());
-  loaded := true
-
-let ensure_loaded root = if not !loaded then load_index root
-
-let touch d =
-  match Hashtbl.find_opt index d with
-  | None -> ()
-  | Some e ->
-      e.e_seq <- !next_seq;
-      incr next_seq
-
-let total_bytes () = Hashtbl.fold (fun _ e acc -> acc + e.e_bytes) index 0
-
-let pinned_digests () =
-  let s = Hashtbl.create 16 in
-  Hashtbl.iter (fun k n -> if n > 0 then Hashtbl.replace s (digest_of_key k) ()) pins;
-  s
-
-let evict_to_limit root =
-  match !limit_ref with
-  | None -> ()
-  | Some limit ->
-      let pinned = pinned_digests () in
-      let rec go () =
-        if total_bytes () > limit then begin
-          let victim =
-            Hashtbl.fold
-              (fun d e acc ->
-                if Hashtbl.mem pinned d then acc
-                else
-                  match acc with
-                  | Some (_, best) when best.e_seq <= e.e_seq -> acc
-                  | _ -> Some (d, e))
-              index None
-          in
-          match victim with
-          | None -> () (* everything pinned: over budget, but never unsafe *)
-          | Some (d, _) ->
-              (try Sys.remove (file_of_digest root d) with Sys_error _ -> ());
-              Hashtbl.remove index d;
-              incr evictions;
-              go ()
-        end
-      in
-      go ()
-
-(* --- public API -------------------------------------------------------- *)
-
-let set_root dir =
-  locked (fun () ->
-      root_ref := dir;
-      loaded := false)
+let set_root dir = locked (fun () -> root_ref := dir)
 
 let root () = locked (fun () -> !root_ref)
-
-let set_limit_bytes l = locked (fun () -> limit_ref := l)
-
-let limit_bytes () = locked (fun () -> !limit_ref)
-
-let pin k =
-  locked (fun () ->
-      Hashtbl.replace pins k (1 + Option.value ~default:0 (Hashtbl.find_opt pins k)))
-
-let unpin k =
-  locked (fun () ->
-      match Hashtbl.find_opt pins k with
-      | Some n when n > 1 -> Hashtbl.replace pins k (n - 1)
-      | Some _ -> Hashtbl.remove pins k
-      | None -> ())
 
 let load k =
   locked (fun () ->
       match !root_ref with
       | None -> None
       | Some root -> (
-          ensure_loaded root;
-          let d = digest_of_key k in
-          let path = file_of_digest root d in
-          if not (Sys.file_exists path) then None
-          else
-            try
-              let ic = open_in_bin path in
-              let result =
-                Fun.protect
-                  ~finally:(fun () -> close_in_noerr ic)
-                  (fun () ->
-                    let stored_key, run =
-                      (Marshal.from_channel ic : string * Runner.run)
-                    in
-                    (* The file name is a digest; storing the key guards
-                       against the (unlikely) digest collision. *)
-                    if String.equal stored_key k then Some run else None)
-              in
-              if result <> None then begin
-                if not (Hashtbl.mem index d) then begin
-                  let st = Unix.stat path in
-                  Hashtbl.replace index d
-                    { e_bytes = st.Unix.st_size; e_seq = 0 }
-                end;
-                touch d;
-                persist_index root
-              end;
-              result
-            with _ -> None))
+          (* A missing, truncated or foreign file is a cache miss. *)
+          try
+            In_channel.with_open_bin (file_of_key root k) (fun ic ->
+                let stored_key, run =
+                  (Marshal.from_channel ic : string * Runner.run)
+                in
+                (* The file name is a digest; storing the key guards
+                   against the (unlikely) digest collision. *)
+                if String.equal stored_key k then Some run else None)
+          with _ -> None))
 
 let store k run =
   locked (fun () ->
       match !root_ref with
       | None -> ()
       | Some root -> (
-          ensure_loaded root;
-          let d = digest_of_key k in
-          let path = file_of_digest root d in
+          let path = file_of_key root k in
           try
             mkdir_p (Filename.dirname path);
             let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-            let oc = open_out_bin tmp in
-            Marshal.to_channel oc (k, run) [];
-            close_out oc;
-            Sys.rename tmp path;
-            let bytes = (Unix.stat path).Unix.st_size in
-            (match Hashtbl.find_opt index d with
-            | Some e -> e.e_bytes <- bytes
-            | None -> Hashtbl.replace index d { e_bytes = bytes; e_seq = 0 });
-            touch d;
-            evict_to_limit root;
-            persist_index root
+            Out_channel.with_open_bin tmp (fun oc -> Marshal.to_channel oc (k, run) []);
+            Sys.rename tmp path
           with Sys_error _ | Unix.Unix_error _ -> ()))
-
-let rec remove_tree path =
-  match (Unix.lstat path).Unix.st_kind with
-  | Unix.S_DIR ->
-      let files, bytes =
-        Array.fold_left
-          (fun (f, b) name ->
-            let f', b' = remove_tree (Filename.concat path name) in
-            (f + f', b + b'))
-          (0, 0) (Sys.readdir path)
-      in
-      (try Unix.rmdir path with Unix.Unix_error _ -> ());
-      (files, bytes)
-  | _ ->
-      let bytes = try (Unix.stat path).Unix.st_size with _ -> 0 in
-      (try Sys.remove path with Sys_error _ -> ());
-      (1, bytes)
-  | exception Unix.Unix_error _ -> (0, 0)
-
-let compact () =
-  locked (fun () ->
-      match !root_ref with
-      | None -> (0, 0)
-      | Some root ->
-          let current = version_tag () in
-          Array.fold_left
-            (fun (f, b) name ->
-              let path = Filename.concat root name in
-              if name <> current && Sys.is_directory path then begin
-                let f', b' = remove_tree path in
-                (f + f', b + b')
-              end
-              else (f, b))
-            (0, 0)
-            (try Sys.readdir root with Sys_error _ -> [||]))
 
 let stats () =
   locked (fun () ->
-      (match !root_ref with Some root -> ensure_loaded root | None -> ());
-      {
-        entries = Hashtbl.length index;
-        bytes = total_bytes ();
-        limit_bytes = !limit_ref;
-        evictions = !evictions;
-        version = version_tag ();
-      })
+      let entries, bytes =
+        match !root_ref with
+        | None -> (0, 0)
+        | Some root ->
+            let dir = version_dir root in
+            Array.fold_left
+              (fun (n, b) name ->
+                if Filename.check_suffix name ".run" then
+                  match Unix.stat (Filename.concat dir name) with
+                  | st -> (n + 1, b + st.Unix.st_size)
+                  | exception Unix.Unix_error _ -> (n, b)
+                else (n, b))
+              (0, 0)
+              (try Sys.readdir dir with Sys_error _ -> [||])
+      in
+      { entries; bytes; version = version_tag () })

@@ -211,6 +211,3 @@ let export_chrome ppf t =
   Format.fprintf ppf "@[<v 1>{@,\"traceEvents\": @[<v 1>[@,";
   pp_events ppf ~sep t;
   Format.fprintf ppf "@]@,],@,\"displayTimeUnit\": \"ns\"@]@,}@."
-
-let export_chrome_events ppf t =
-  pp_events ppf ~sep:(fun () -> Format.fprintf ppf ",@,") t

@@ -147,6 +147,106 @@ let test_cache_round_trip () =
   Alcotest.(check int) "prefetch hits the store" (sims0 + 1)
     (E.Engine.simulations ())
 
+(* A damaged store entry must cost a re-simulation, never a crash or a
+   wrong result: [damage path key run] spoils the entry for [key]. *)
+let check_store_recovers damage =
+  with_engine_defaults @@ fun () ->
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "regmutex-store-damage-%d" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+  @@ fun () ->
+  E.Engine.set_cache_dir (Some dir);
+  let arch = tiny.E.Exp_config.arch in
+  let gaussian = Workloads.Registry.find "Gaussian" in
+  let run () = E.Engine.run tiny ~arch Regmutex.Technique.Regmutex gaussian in
+  let key = E.Engine.key tiny ~arch Regmutex.Technique.Regmutex gaussian in
+  let vdir = Filename.concat dir (E.Result_store.version_tag ()) in
+  let path =
+    Filename.concat vdir (Digest.to_hex (Digest.string key) ^ ".run")
+  in
+  E.Engine.clear ();
+  let r1 = run () in
+  Alcotest.(check bool) "entry written" true (Sys.file_exists path);
+  damage path key r1;
+  Alcotest.(check bool) "damaged entry loads as a miss" true
+    (E.Result_store.load key = None);
+  E.Engine.clear ();
+  let sims0 = E.Engine.simulations () in
+  let r2 = run () in
+  Alcotest.(check int) "engine re-simulates" (sims0 + 1) (E.Engine.simulations ());
+  let fp = Regmutex.Runner.fingerprint r1 in
+  Alcotest.(check string) "same result" fp (Regmutex.Runner.fingerprint r2);
+  (match E.Result_store.load key with
+  | Some r3 ->
+      Alcotest.(check string) "rewritten entry loads back" fp
+        (Regmutex.Runner.fingerprint r3)
+  | None -> Alcotest.fail "rewritten entry does not load");
+  (* Leftover temporaries are not entries. *)
+  Out_channel.with_open_bin (path ^ ".4242.tmp") (fun oc ->
+      output_string oc "partial");
+  Out_channel.with_open_bin (Filename.concat vdir "stray.tmp") (fun oc ->
+      output_string oc "x");
+  let st = E.Result_store.stats () in
+  Alcotest.(check int) "stats counts .run files only" 1 st.E.Result_store.entries;
+  Alcotest.(check int) "stats bytes are the .run file's"
+    (Unix.stat path).Unix.st_size st.E.Result_store.bytes
+
+let test_store_truncated_entry () =
+  check_store_recovers (fun path _ _ ->
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub bytes 0 (String.length bytes / 2))))
+
+let test_store_foreign_key () =
+  check_store_recovers (fun path key run ->
+      Out_channel.with_open_bin path (fun oc ->
+          Marshal.to_channel oc (key ^ "/other", run) []))
+
+(* --- worker pool ------------------------------------------------------- *)
+
+module Pool = E.Engine.Pool
+
+let test_pool_map_order () =
+  let pool = Pool.create ~workers:2 in
+  Alcotest.(check int) "workers" 2 (Pool.workers pool);
+  let tasks = Array.init 32 Fun.id in
+  let out =
+    Pool.map pool tasks (fun i ->
+        (* Uneven task durations shuffle completion order; results must
+           still come back in submission order. *)
+        if i mod 5 = 0 then Unix.sleepf 0.002;
+        i * i)
+  in
+  Alcotest.(check (array int)) "submission order"
+    (Array.init 32 (fun i -> i * i))
+    out;
+  (* The pool is persistent: a second batch reuses the same workers. *)
+  let out2 = Pool.map pool [| 7; 8 |] (fun i -> i + 1) in
+  Alcotest.(check (array int)) "second batch" [| 8; 9 |] out2;
+  Pool.shutdown pool;
+  Pool.shutdown pool (* idempotent *)
+
+let test_pool_zero_workers () =
+  (* A 0-worker pool runs every task on the participating caller. *)
+  let pool = Pool.create ~workers:0 in
+  let out = Pool.map pool [| 1; 2; 3 |] (fun i -> 10 * i) in
+  Alcotest.(check (array int)) "serial map" [| 10; 20; 30 |] out;
+  Pool.shutdown pool
+
+let test_pool_exception () =
+  let pool = Pool.create ~workers:1 in
+  Alcotest.check_raises "task exception reaches the caller"
+    (Failure "task 3 failed") (fun () ->
+      ignore
+        (Pool.map pool [| 0; 1; 2; 3; 4 |] (fun i ->
+             if i = 3 then failwith "task 3 failed" else i)));
+  (* The pool survives a failed batch. *)
+  let out = Pool.map pool [| 1 |] (fun i -> -i) in
+  Alcotest.(check (array int)) "pool survives" [| -1 |] out;
+  Pool.shutdown pool
+
 let test_table1_rows () =
   let rows = E.Table1.rows tiny in
   Alcotest.(check int) "16 rows" 16 (List.length rows);
@@ -236,4 +336,11 @@ let suite =
     Alcotest.test_case "Figure 7 rows" `Slow test_fig7_rows;
     Alcotest.test_case "Figure 13 rows" `Slow test_fig13_rows;
     Alcotest.test_case "Figure 10 heuristic marks" `Slow test_fig10_marks_heuristic;
-    Alcotest.test_case "ablation variants" `Quick test_ablation_variants ]
+    Alcotest.test_case "ablation variants" `Quick test_ablation_variants;
+    Alcotest.test_case "store: truncated entry is a miss" `Slow
+      test_store_truncated_entry;
+    Alcotest.test_case "store: foreign key is a miss" `Slow
+      test_store_foreign_key;
+    Alcotest.test_case "pool map order" `Quick test_pool_map_order;
+    Alcotest.test_case "pool zero workers" `Quick test_pool_zero_workers;
+    Alcotest.test_case "pool exception" `Quick test_pool_exception ]
