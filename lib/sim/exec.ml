@@ -18,17 +18,14 @@ type ctx = {
   lane_regs : int array;
 }
 
-type outcome =
-  | Next
-  | Goto of int
-  | Stop
-  | Sync
-  | Acq
-  | Rel
-
-type lane_outcome =
-  | L_uniform of outcome
-  | L_diverge of { taken : int; tgt : int }
+type control =
+  | Fall
+  | Branch
+  | Halt
+  | Barrier
+  | Acquire
+  | Release
+  | Split
 
 let operand ctx = function
   | Instr.Reg r -> ctx.regs.(r)
@@ -171,74 +168,82 @@ let write ctx space addr v =
    are cycle-dependent and must not contribute). *)
 let is_reg = function Instr.Reg _ -> 1 | Instr.Imm _ | Instr.Special _ | Instr.Param _ -> 0
 
-let rf_accesses = function
-  | Instr.Bin (_, _, a, b) | Instr.Cmp (_, _, a, b) -> (is_reg a + is_reg b, 1)
-  | Instr.Un (_, _, a) | Instr.Mov (_, a) -> (is_reg a, 1)
-  | Instr.Mad (_, a, b, c) | Instr.Sel (_, a, b, c) ->
-      (is_reg a + is_reg b + is_reg c, 1)
-  | Instr.Load (_, _, addr, _) -> (is_reg addr, 1)
-  | Instr.Store (_, addr, v, _) -> (is_reg addr + is_reg v, 0)
-  | Instr.Jump_if (c, _) | Instr.Jump_ifz (c, _) -> (is_reg c, 0)
-  | Instr.Jump _ | Instr.Bar | Instr.Acquire | Instr.Release | Instr.Exit -> (0, 0)
+let rf_reads = function
+  | Instr.Bin (_, _, a, b) | Instr.Cmp (_, _, a, b) -> is_reg a + is_reg b
+  | Instr.Un (_, _, a) | Instr.Mov (_, a) -> is_reg a
+  | Instr.Mad (_, a, b, c) | Instr.Sel (_, a, b, c) -> is_reg a + is_reg b + is_reg c
+  | Instr.Load (_, _, addr, _) -> is_reg addr
+  | Instr.Store (_, addr, v, _) -> is_reg addr + is_reg v
+  | Instr.Jump_if (c, _) | Instr.Jump_ifz (c, _) -> is_reg c
+  | Instr.Jump _ | Instr.Bar | Instr.Acquire | Instr.Release | Instr.Exit -> 0
+
+let rf_writes = function
+  | Instr.Bin _ | Instr.Cmp _ | Instr.Un _ | Instr.Mov _ | Instr.Mad _ | Instr.Sel _
+  | Instr.Load _ ->
+      1
+  | Instr.Store _ | Instr.Jump_if _ | Instr.Jump_ifz _ | Instr.Jump _ | Instr.Bar
+  | Instr.Acquire | Instr.Release | Instr.Exit ->
+      0
+
+let count_rf ctx instr =
+  ctx.stats.Stats.rf_reads <- ctx.stats.Stats.rf_reads + rf_reads instr;
+  ctx.stats.Stats.rf_writes <- ctx.stats.Stats.rf_writes + rf_writes instr
 
 let step ctx instr =
-  let reads, writes = rf_accesses instr in
-  ctx.stats.Stats.rf_reads <- ctx.stats.Stats.rf_reads + reads;
-  ctx.stats.Stats.rf_writes <- ctx.stats.Stats.rf_writes + writes;
-  let v = operand ctx in
+  count_rf ctx instr;
   match instr with
   | Instr.Bin (op, d, a, b) ->
-      ctx.regs.(d) <- binop op (v a) (v b);
-      Next
+      ctx.regs.(d) <- binop op (operand ctx a) (operand ctx b);
+      Fall
   | Instr.Un (op, d, a) ->
-      ctx.regs.(d) <- unop op (v a);
-      Next
+      ctx.regs.(d) <- unop op (operand ctx a);
+      Fall
   | Instr.Mad (d, a, b, c) ->
-      ctx.regs.(d) <- (v a * v b) + v c;
-      Next
+      ctx.regs.(d) <- (operand ctx a * operand ctx b) + operand ctx c;
+      Fall
   | Instr.Mov (d, a) ->
-      ctx.regs.(d) <- v a;
-      Next
+      ctx.regs.(d) <- operand ctx a;
+      Fall
   | Instr.Cmp (op, d, a, b) ->
-      ctx.regs.(d) <- cmpop op (v a) (v b);
-      Next
+      ctx.regs.(d) <- cmpop op (operand ctx a) (operand ctx b);
+      Fall
   | Instr.Sel (d, c, a, b) ->
-      ctx.regs.(d) <- (if v c <> 0 then v a else v b);
-      Next
+      ctx.regs.(d) <- (if operand ctx c <> 0 then operand ctx a else operand ctx b);
+      Fall
   | Instr.Load (space, d, addr, ofs) ->
-      ctx.regs.(d) <- read ctx space (v addr + ofs);
-      Next
+      ctx.regs.(d) <- read ctx space (operand ctx addr + ofs);
+      Fall
   | Instr.Store (space, addr, value, ofs) ->
-      write ctx space (v addr + ofs) (v value);
-      Next
-  | Instr.Jump t -> Goto t
-  | Instr.Jump_if (c, t) -> if v c <> 0 then Goto t else Next
-  | Instr.Jump_ifz (c, t) -> if v c = 0 then Goto t else Next
-  | Instr.Bar -> Sync
-  | Instr.Acquire -> Acq
-  | Instr.Release -> Rel
-  | Instr.Exit -> Stop
+      write ctx space (operand ctx addr + ofs) (operand ctx value);
+      Fall
+  | Instr.Jump _ -> Branch
+  | Instr.Jump_if (c, _) -> if operand ctx c <> 0 then Branch else Fall
+  | Instr.Jump_ifz (c, _) -> if operand ctx c = 0 then Branch else Fall
+  | Instr.Bar -> Barrier
+  | Instr.Acquire -> Acquire
+  | Instr.Release -> Release
+  | Instr.Exit -> Halt
 
 (* --- per-lane (SIMT) execution ----------------------------------------- *)
 
+let lanes_taken ctx c ~mask ~if_zero =
+  let taken = ref 0 in
+  for lane = 0 to ctx.lanes - 1 do
+    let bit = 1 lsl lane in
+    if mask land bit <> 0 && (lane_operand ctx lane c = 0) = if_zero then
+      taken := !taken lor bit
+  done;
+  !taken
+
 (* Pure evaluation of a conditional branch's per-lane outcome: the mask of
-   active lanes whose condition takes the branch. Never counts register
-   ports (the RFV peek calls this every scheduler probe). [None] for
-   non-conditional instructions. *)
-let branch_masks ctx instr ~mask =
-  let eval c keep =
-    let taken = ref 0 in
-    for lane = 0 to ctx.lanes - 1 do
-      let bit = 1 lsl lane in
-      if mask land bit <> 0 && keep (lane_operand ctx lane c) then
-        taken := !taken lor bit
-    done;
-    !taken
-  in
+   active lanes whose condition takes the branch (0 for any other
+   instruction). Never counts register ports (the RFV peek calls this
+   every scheduler probe). *)
+let branch_taken ctx instr ~mask =
   match instr with
-  | Instr.Jump_if (c, t) -> Some (eval c (fun v -> v <> 0), t)
-  | Instr.Jump_ifz (c, t) -> Some (eval c (fun v -> v = 0), t)
-  | _ -> None
+  | Instr.Jump_if (c, _) -> lanes_taken ctx c ~mask ~if_zero:false
+  | Instr.Jump_ifz (c, _) -> lanes_taken ctx c ~mask ~if_zero:true
+  | _ -> 0
 
 (* Evaluate one instruction for every lane in [mask]. Counter discipline:
    register-port and shared/spill traffic counters advance once per
@@ -249,9 +254,7 @@ let branch_masks ctx instr ~mask =
    is bit-identical to the uniform trace; the full lane-resolved trace is
    recorded separately per lane. *)
 let step_simt ctx instr ~mask =
-  let reads, writes = rf_accesses instr in
-  ctx.stats.Stats.rf_reads <- ctx.stats.Stats.rf_reads + reads;
-  ctx.stats.Stats.rf_writes <- ctx.stats.Stats.rf_writes + writes;
+  count_rf ctx instr;
   let n = ctx.n_regs in
   let set lane d value = ctx.lane_regs.((lane * n) + d) <- value in
   let each f =
@@ -262,27 +265,27 @@ let step_simt ctx instr ~mask =
   match instr with
   | Instr.Bin (op, d, a, b) ->
       each (fun l -> set l d (binop op (lane_operand ctx l a) (lane_operand ctx l b)));
-      L_uniform Next
+      Fall
   | Instr.Un (op, d, a) ->
       each (fun l -> set l d (unop op (lane_operand ctx l a)));
-      L_uniform Next
+      Fall
   | Instr.Mad (d, a, b, c) ->
       each (fun l ->
           set l d
             ((lane_operand ctx l a * lane_operand ctx l b) + lane_operand ctx l c));
-      L_uniform Next
+      Fall
   | Instr.Mov (d, a) ->
       each (fun l -> set l d (lane_operand ctx l a));
-      L_uniform Next
+      Fall
   | Instr.Cmp (op, d, a, b) ->
       each (fun l -> set l d (cmpop op (lane_operand ctx l a) (lane_operand ctx l b)));
-      L_uniform Next
+      Fall
   | Instr.Sel (d, c, a, b) ->
       each (fun l ->
           set l d
             (if lane_operand ctx l c <> 0 then lane_operand ctx l a
              else lane_operand ctx l b));
-      L_uniform Next
+      Fall
   | Instr.Load (space, d, addr, ofs) ->
       (match space with
       | Instr.Global -> ()
@@ -301,7 +304,7 @@ let step_simt ctx instr ~mask =
           in
           set l d v);
       if !oob then ctx.stats.Stats.shared_oob <- ctx.stats.Stats.shared_oob + 1;
-      L_uniform Next
+      Fall
   | Instr.Store (space, addr, value, ofs) ->
       (match space with
       | Instr.Global -> ()
@@ -327,16 +330,12 @@ let step_simt ctx instr ~mask =
           | Instr.Shared -> ctx.shared.(shared_index_flag ctx oob a) <- v
           | Instr.Spill -> ctx.shared.(spill_index_flag ctx oob a) <- v);
       if !oob then ctx.stats.Stats.shared_oob <- ctx.stats.Stats.shared_oob + 1;
-      L_uniform Next
-  | Instr.Jump t -> L_uniform (Goto t)
-  | Instr.Jump_if _ | Instr.Jump_ifz _ -> (
-      match branch_masks ctx instr ~mask with
-      | Some (taken, tgt) ->
-          if taken = 0 then L_uniform Next
-          else if taken = mask then L_uniform (Goto tgt)
-          else L_diverge { taken; tgt }
-      | None -> assert false)
-  | Instr.Bar -> L_uniform Sync
-  | Instr.Acquire -> L_uniform Acq
-  | Instr.Release -> L_uniform Rel
-  | Instr.Exit -> L_uniform Stop
+      Fall
+  | Instr.Jump _ -> Branch
+  | Instr.Jump_if _ | Instr.Jump_ifz _ ->
+      let taken = branch_taken ctx instr ~mask in
+      if taken = 0 then Fall else if taken = mask then Branch else Split
+  | Instr.Bar -> Barrier
+  | Instr.Acquire -> Acquire
+  | Instr.Release -> Release
+  | Instr.Exit -> Halt

@@ -3,13 +3,15 @@
     Timing, policy enforcement and status transitions live in {!Sm}; this
     module only computes values and memory effects, which makes the
     semantics unit-testable in isolation and keeps transforms verifiable:
-    a RegMutex-transformed program must produce the same {!outcome}
+    a RegMutex-transformed program must produce the same {!control}
     sequence and stores as the original.
 
     A context is built once per warp slot and reused across launches (the
     SM rebinds the mutable [ctaid]/[shared] fields when a new CTA lands in
-    the slot), so the per-issue path allocates nothing: memory dispatch is
-    direct on the context fields rather than through per-warp closures. *)
+    the slot), and memory dispatch is direct on the context fields rather
+    than through per-warp closures. {!step} answers with a constant
+    {!control} code, so a warp-uniform issue allocates nothing; the
+    per-lane {!step_simt} still builds small per-instruction closures. *)
 
 type ctx = {
   regs : int array;    (** the warp's register-file row (shared with the SM) *)
@@ -37,23 +39,20 @@ type ctx = {
           warp-uniform model *)
 }
 
-type outcome =
-  | Next         (** fall through to [pc + 1] *)
-  | Goto of int  (** branch taken *)
-  | Stop         (** [Exit] *)
-  | Sync         (** [Bar] — CTA barrier *)
-  | Acq          (** [Acquire] — policy handled by the SM *)
-  | Rel          (** [Release] *)
-
-(** Per-lane control outcome: either every active lane agrees (including
-    conditional branches whose condition is warp-uniform in practice), or
-    the branch splits the active mask — reconvergence-stack handling lives
-    in {!Sm}. *)
-type lane_outcome =
-  | L_uniform of outcome
-  | L_diverge of { taken : int; tgt : int }
-      (** [taken] is the non-empty, proper sub-mask of active lanes whose
-          condition takes the branch to [tgt] *)
+(** Control outcome of an instruction: constant constructors only, so
+    returning one allocates nothing. A taken branch goes to the
+    instruction's own target ({!Gpu_isa.Instr.target}). *)
+type control =
+  | Fall     (** fall through to [pc + 1] *)
+  | Branch   (** branch taken (every active lane, under SIMT) *)
+  | Halt     (** [Exit] *)
+  | Barrier  (** [Bar] *)
+  | Acquire  (** [Acquire] *)
+  | Release  (** [Release] *)
+  | Split
+      (** SIMT only: a conditional branch splits the active mask; the
+          taken lanes are {!branch_taken} — reconvergence-stack handling
+          lives in {!Sm} *)
 
 val operand : ctx -> Gpu_isa.Instr.operand -> int
 
@@ -65,14 +64,14 @@ val lane_operand : ctx -> int -> Gpu_isa.Instr.operand -> int
     returns the control outcome. Division and remainder by zero yield 0;
     shift counts are masked to 5 bits (32-bit GPU semantics). Shared
     accesses outside the CTA's allocation wrap and bump
-    [stats.shared_oob]. *)
-val step : ctx -> Gpu_isa.Instr.t -> outcome
+    [stats.shared_oob]. Never returns [Split]. *)
+val step : ctx -> Gpu_isa.Instr.t -> control
 
-(** [branch_masks ctx instr ~mask] — pure per-lane evaluation of a
-    conditional branch: [Some (taken_mask, target)], or [None] for
-    non-conditional instructions. Counts nothing (safe to call from
+(** [branch_taken ctx instr ~mask] — pure per-lane evaluation of a
+    conditional branch: the sub-mask of [mask] whose lanes take it, or 0
+    for any other instruction. Counts nothing (safe to call from
     scheduler peeks). *)
-val branch_masks : ctx -> Gpu_isa.Instr.t -> mask:int -> (int * int) option
+val branch_taken : ctx -> Gpu_isa.Instr.t -> mask:int -> int
 
 (** [step_simt ctx instr ~mask] evaluates the instruction for every lane
     set in [mask] against the lane-resolved register file.
@@ -84,4 +83,4 @@ val branch_masks : ctx -> Gpu_isa.Instr.t -> mask:int -> (int * int) option
     store trace records the lowest active lane; every active lane is
     additionally recorded in the lane-resolved trace
     (see {!Stats.lane_store_traces}). *)
-val step_simt : ctx -> Gpu_isa.Instr.t -> mask:int -> lane_outcome
+val step_simt : ctx -> Gpu_isa.Instr.t -> mask:int -> control

@@ -166,6 +166,8 @@ let run ?observe ?(observe_every = 1) config kernel =
      retire bumps [ctas_retired]) instead of re-folding over the SMs each
      cycle. *)
   let retired () = stats.Stats.ctas_retired in
+  (* Per-SM idle reason of the current frozen cycle, reused across them. *)
+  let reasons = Array.make n_sms Stats.Stall_empty in
   while retired () < grid && !cycle < config.max_cycles do
     (* CTA dispatch: at most one launch per SM per cycle, round robin over
        SMs so early SMs do not monopolise the grid. The per-SM loops are
@@ -216,15 +218,15 @@ let run ?observe ?(observe_every = 1) config kernel =
     in
     if frozen then begin
       let wake = ref max_int in
-      let reasons = Array.make n_sms Stats.Stall_empty in
-      Array.iteri
-        (fun i sm ->
-          if Sm.resident_warps sm > 0 then begin
-            let reason, sm_wake = Sm.idle_summary sm ~cycle:!cycle in
-            reasons.(i) <- reason;
-            if sm_wake < !wake then wake := sm_wake
-          end)
-        sms;
+      for i = 0 to n_sms - 1 do
+        let sm = sms.(i) in
+        if Sm.resident_warps sm > 0 then begin
+          let reason, sm_wake = Sm.idle_summary sm ~cycle:!cycle in
+          reasons.(i) <- reason;
+          if sm_wake < !wake then wake := sm_wake
+        end
+        else reasons.(i) <- Stats.Stall_empty
+      done;
       if !wake = max_int then
         raise
           (Deadlock
@@ -260,10 +262,9 @@ let run ?observe ?(observe_every = 1) config kernel =
         in
         if wake > next then begin
           let span = wake - next in
-          Array.iteri
-            (fun i sm ->
-              Sm.account_idle_span sm ~from:next ~reason:reasons.(i) ~span)
-            sms;
+          for i = 0 to n_sms - 1 do
+            Sm.account_idle_span sms.(i) ~from:next ~reason:reasons.(i) ~span
+          done;
           (match config.telemetry with
           | Some sink ->
               Telemetry.Trace.span sink.Telemetry.Sink.trace ~ts:next ~dur:span

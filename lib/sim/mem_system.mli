@@ -26,12 +26,11 @@ val slot_free : t -> sm:int -> cycle:int -> bool
 val next_completion : t -> sm:int -> int
 
 (** [issue_global t ~sm ~cycle] claims a slot and returns its completion
-    cycle, or [`No_slot] when every slot is busy — structured
-    back-pressure the issue stage turns into a re-stall of the warp
-    (rather than a crash), even though schedulers normally consult
-    {!slot_free} first. *)
-val issue_global :
-  t -> sm:int -> cycle:int -> [ `Completion of int | `No_slot ]
+    cycle, or [-1] when every slot is busy — structured back-pressure the
+    issue stage turns into a re-stall of the warp (rather than a crash),
+    even though schedulers normally consult {!slot_free} first. The
+    answer is a plain int so the claim allocates nothing. *)
+val issue_global : t -> sm:int -> cycle:int -> int
 
 (** [busy_slots t ~sm ~cycle] — how many of SM [sm]'s slots are in flight
     at [cycle]. O(slots) scan; only the telemetry probe reads it. *)

@@ -12,11 +12,13 @@ let default_value addr =
   let v = mask addr * 2654435761 in
   (v lxor (v lsr 15)) land 0xffff
 
+(* [find] rather than [find_opt]: the miss path raises the preallocated
+   [Not_found] instead of the hit path allocating an option. *)
 let read_global t addr =
   let addr = mask addr in
-  match Hashtbl.find_opt t.global addr with
-  | Some v -> v
-  | None -> default_value addr
+  match Hashtbl.find t.global addr with
+  | v -> v
+  | exception Not_found -> default_value addr
 
 let write_global t addr v = Hashtbl.replace t.global (mask addr) v
 

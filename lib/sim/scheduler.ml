@@ -9,13 +9,19 @@ type t = {
   mutable current : int;
   mutable rr_pos : int;
   mutable active_group : int;
+  mutable min_ready : int;
+      (* lower bound on [ready_at] over this scheduler's Ready slots: set
+         exactly by every complete scan, lowered by {!note_ready} *)
 }
 
 let create kind ~id ~n_schedulers =
   (match kind with
   | Two_level g when g <= 0 -> invalid_arg "Scheduler.create: empty fetch group"
   | Two_level _ | Gto | Lrr -> ());
-  { kind; id; n_schedulers; current = -1; rr_pos = 0; active_group = 0 }
+  { kind; id; n_schedulers; current = -1; rr_pos = 0; active_group = 0;
+    min_ready = min_int }
+
+let note_ready t ~ready_at = if ready_at < t.min_ready then t.min_ready <- ready_at
 
 let owns t ~slot = slot mod t.n_schedulers = t.id
 
@@ -34,11 +40,14 @@ let pack_key ~priority ~age = (priority lsl age_bits) lor min age age_mask
    [can_issue] check (memory slots and register-policy state, owned by the
    SM). The residual check carries the acquire-stall side effects of a
    real issue attempt, so candidates are visited in exactly the order the
-   record-based scan did: increasing slot. *)
-(* [runnable] is inlined by hand below (status = st_ready and the
-   scoreboard bound passed): the scan bodies are the hottest loops in the
-   simulator and the non-flambda compiler does not reliably inline even
-   tiny cross-function calls. *)
+   record-based scan did: increasing slot.
+
+   Every scan also folds the [ready_at] of each Ready slot it passes into
+   [lo]; a scan that visited every owned slot without issuing stores it
+   as the exact [min_ready]. The scan bodies are plain loops over refs
+   (no local closures) and inline the prefix by hand: they are the
+   hottest loops in the simulator and the non-flambda compiler neither
+   unboxes closure-captured refs nor reliably inlines tiny calls. *)
 
 let scan_best t ~(soa : Soa.t) ~cycle ~can_issue =
   let status = soa.Soa.status in
@@ -46,19 +55,24 @@ let scan_best t ~(soa : Soa.t) ~cycle ~can_issue =
   let key = soa.Soa.key in
   let best = ref (-1) in
   let best_key = ref max_int in
+  let lo = ref max_int in
   let slot = ref t.id in
   while !slot < soa.Soa.n_slots do
     let s = !slot in
-    if status.(s) = Soa.st_ready && ready_at.(s) <= cycle && can_issue s
-    then begin
-      let k = key.(s) in
-      if k < !best_key then begin
-        best_key := k;
-        best := s
+    if status.(s) = Soa.st_ready then begin
+      let r = ready_at.(s) in
+      if r < !lo then lo := r;
+      if r <= cycle && can_issue s then begin
+        let k = key.(s) in
+        if k < !best_key then begin
+          best_key := k;
+          best := s
+        end
       end
     end;
     slot := s + t.n_schedulers
   done;
+  t.min_ready <- !lo;
   !best
 
 let pick_gto t ~(soa : Soa.t) ~cycle ~can_issue =
@@ -80,22 +94,22 @@ let pick_lrr t ~(soa : Soa.t) ~cycle ~can_issue =
   let n_slots = soa.Soa.n_slots in
   let status = soa.Soa.status in
   let ready_at = soa.Soa.ready_at in
-  let rec go tried slot =
-    if tried >= n_slots then -1
-    else
-      let slot = if slot >= n_slots then 0 else slot in
-      if
-        owns t ~slot
-        && status.(slot) = Soa.st_ready
-        && ready_at.(slot) <= cycle
-        && can_issue slot
-      then begin
-        t.rr_pos <- slot + 1;
-        slot
-      end
-      else go (tried + 1) (slot + 1)
-  in
-  go 0 t.rr_pos
+  let found = ref (-1) in
+  let lo = ref max_int in
+  let tried = ref 0 in
+  let slot = ref t.rr_pos in
+  while !found < 0 && !tried < n_slots do
+    let s = if !slot >= n_slots then 0 else !slot in
+    if owns t ~slot:s && status.(s) = Soa.st_ready then begin
+      let r = ready_at.(s) in
+      if r < !lo then lo := r;
+      if r <= cycle && can_issue s then found := s
+    end;
+    slot := s + 1;
+    incr tried
+  done;
+  if !found >= 0 then t.rr_pos <- !found + 1 else t.min_ready <- !lo;
+  !found
 
 (* Two-level: drain the active fetch group; when it has no runnable warp,
    rotate to the next group that does. Groups partition a scheduler's own
@@ -106,41 +120,47 @@ let pick_two_level t ~group_size ~(soa : Soa.t) ~cycle ~can_issue =
   let ready_at = soa.Soa.ready_at in
   let key = soa.Soa.key in
   let n_groups = (n_slots + group_size - 1) / group_size in
-  let scan_group g =
+  let found = ref (-1) in
+  let lo = ref max_int in
+  let tried = ref 0 in
+  let g = ref (t.active_group mod max n_groups 1) in
+  while !found < 0 && !tried < n_groups do
     let best = ref (-1) in
     let best_key = ref max_int in
-    let hi = (g + 1) * group_size in
+    let hi = (!g + 1) * group_size in
     let hi = if hi > n_slots then n_slots else hi in
-    for slot = g * group_size to hi - 1 do
-      if
-        owns t ~slot
-        && status.(slot) = Soa.st_ready
-        && ready_at.(slot) <= cycle
-        && can_issue slot
-      then begin
-        let k = key.(slot) in
-        if k < !best_key then begin
-          best_key := k;
-          best := slot
+    for slot = !g * group_size to hi - 1 do
+      if owns t ~slot && status.(slot) = Soa.st_ready then begin
+        let r = ready_at.(slot) in
+        if r < !lo then lo := r;
+        if r <= cycle && can_issue slot then begin
+          let k = key.(slot) in
+          if k < !best_key then begin
+            best_key := k;
+            best := slot
+          end
         end
       end
     done;
-    !best
-  in
-  let rec rotate tried g =
-    if tried >= n_groups then -1
-    else
-      let s = scan_group g in
-      if s >= 0 then begin
-        t.active_group <- g;
-        s
-      end
-      else rotate (tried + 1) ((g + 1) mod n_groups)
-  in
-  rotate 0 (t.active_group mod max n_groups 1)
+    if !best >= 0 then begin
+      t.active_group <- !g;
+      found := !best
+    end
+    else begin
+      incr tried;
+      g := (!g + 1) mod n_groups
+    end
+  done;
+  if !found < 0 then t.min_ready <- !lo;
+  !found
 
+(* While the clock is below [min_ready] no owned slot passes the
+   scoreboard prefix, so no scan could pick (or call [can_issue] on)
+   anything. *)
 let pick t ~soa ~cycle ~can_issue =
-  match t.kind with
-  | Gto -> pick_gto t ~soa ~cycle ~can_issue
-  | Lrr -> pick_lrr t ~soa ~cycle ~can_issue
-  | Two_level group_size -> pick_two_level t ~group_size ~soa ~cycle ~can_issue
+  if cycle < t.min_ready then -1
+  else
+    match t.kind with
+    | Gto -> pick_gto t ~soa ~cycle ~can_issue
+    | Lrr -> pick_lrr t ~soa ~cycle ~can_issue
+    | Two_level group_size -> pick_two_level t ~group_size ~soa ~cycle ~can_issue

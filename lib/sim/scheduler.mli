@@ -13,8 +13,15 @@
     state: a candidate slot must be resident, [Ready] and past its
     scoreboard bound ([ready_at <= cycle]) before the SM-provided residual
     [can_issue] check (memory slots, register-policy state — the part
-    with acquire-stall side effects) runs. Per-cycle scans allocate
-    nothing. *)
+    with acquire-stall side effects) runs.
+
+    Each scheduler keeps a lower bound on the [ready_at] of its [Ready]
+    slots. A scan that visits every owned slot without picking one sets
+    it exactly; the SM lowers it through {!note_ready} whenever a slot
+    becomes [Ready] or its [ready_at] changes (launch, barrier release,
+    pc advance). While [cycle] is below the bound, {!pick} answers [-1]
+    without scanning. A pick allocates nothing beyond what [can_issue]
+    does. *)
 
 type kind = Gto | Lrr | Two_level of int
 
@@ -23,6 +30,12 @@ type t
 val create : kind -> id:int -> n_schedulers:int -> t
 
 val owns : t -> slot:int -> bool
+
+(** [note_ready t ~ready_at] lowers the scheduler's bound so that an owned
+    slot that is (or just became) [Ready] with this [ready_at] is seen by
+    the next {!pick}. The SM must call it at every such transition;
+    missing one makes {!pick} skip an eligible warp. *)
+val note_ready : t -> ready_at:int -> unit
 
 (** Width of the age field inside a packed ordering key; ages at or above
     [2^age_bits] saturate to {!age_mask} rather than corrupting the
@@ -41,6 +54,8 @@ val pack_key : priority:int -> age:int -> int
     this cycle, or [-1] when no owned slot can issue. [can_issue] is the
     SM's residual eligibility check (beyond status/scoreboard, which are
     read directly from [soa]); it may record acquire stalls, and is called
-    on candidate slots in increasing slot order exactly once per scan. *)
+    on candidate slots in increasing slot order exactly once per scan.
+    Returns [-1] at once while [cycle] is below the scheduler's
+    [ready_at] bound (see {!note_ready}). *)
 val pick :
   t -> soa:Warp.Soa.t -> cycle:int -> can_issue:(int -> bool) -> int

@@ -15,7 +15,7 @@ type cta_state = {
   n_warps : int;
   mutable arrived : int;   (* warps waiting at the barrier *)
   mutable running : int;   (* warps not yet Done *)
-  shared : int array;      (* shared-memory words *)
+  shared : int array;      (* shared-memory words (the slot's pooled array) *)
 }
 
 type pstate =
@@ -38,6 +38,9 @@ type t = {
   cta_capacity : int;
   srp_sections : int;
   ctas : cta_state option array;
+  shared_pool : int array array;
+      (* per CTA slot: its shared-memory array, allocated at the slot's
+         first launch and zeroed at every later one *)
   (* Hot per-warp state lives structure-of-arrays: the schedulers and the
      issue stage index packed int arrays by warp slot instead of chasing
      one boxed record per warp. *)
@@ -47,18 +50,26 @@ type t = {
      context or closures. *)
   ctxs : Exec.ctx array;
   schedulers : Scheduler.t array;
+  mutable can_issue : int -> bool;
+      (* the schedulers' residual eligibility check, built once; it reads
+         the clock and the memory-slot answer of the current pick from the
+         two fields below, so no closure is built per cycle *)
+  mutable pick_cycle : int;
+  mutable pick_mem_free : bool;
   pstate : pstate;
+  is_static : bool;
   (* Per-PC precomputation. *)
   latency : int array;           (* result latency for non-global instrs *)
   touches_ext : bool array;      (* any referenced register has index >= bs *)
   rfv_live : int array;          (* RFV: physical packs demanded at each pc *)
   def_reg : int array;           (* destination register, -1 none, -2 invalid *)
   pc_regs : int array array;     (* registers read or written, ascending *)
+  branch_tgt : int array;        (* branch target, -1 for non-branches *)
   is_global : bool array;        (* occupies a global-memory slot at issue *)
   is_acquire : bool array;
   max_rank : int;
-      (* highest [rank_block] value the policy can produce; bounds the
-         early exit in [classify_idle] *)
+      (* highest [rank_block] value the policy can produce with a memory
+         slot busy; bounds the early exit in [classify_idle] *)
   mutable state_gen : int;
       (* bumped on every launch and issue — the only operations that change
          warp statuses or ages — so derived scans can be memoized *)
@@ -81,10 +92,12 @@ type t = {
   full_mask : int;          (* (1 lsl warp_size) - 1 when simt, else 0 *)
   corrupt_mask : int;       (* lanes cleared at launch (fuzz self-test) *)
   events : Event_trace.t option;
+  tracing : bool;  (* [events <> None]: guards building event payloads *)
   probe : Probe.t option;
   bs : int;  (* base-set size for SRP/paired/OWF policies; max_int otherwise *)
   es : int;
   verify : bool;
+  mapping : Gpu_uarch.Reg_mapping.config;  (* Figure 6 mapping, for errors *)
 }
 
 (* Resident-CTA capacity under the policy's register accounting, combined
@@ -106,6 +119,190 @@ let compute_capacity (cfg : Arch_config.t) policy kernel =
 let cta_capacity_for cfg ~policy ~kernel =
   let capacity, _, _ = compute_capacity cfg policy kernel in
   capacity
+
+(* Call sites test [t.tracing] first, so an untraced run never builds the
+   event payload. *)
+let emit t ~cycle event =
+  match t.events with
+  | Some tr -> Event_trace.emit tr ~cycle event
+  | None -> ()
+
+(* --- issue eligibility ---------------------------------------------- *)
+
+type block_reason =
+  | Can_issue
+  | Blocked_deps
+  | Blocked_mem
+  | Blocked_acquire
+  | Blocked_regs
+  | Blocked_barrier
+  | Blocked_done
+
+(* RFV: the next instruction's demand, given this instruction's outcome.
+   Branch conditions are evaluated without side effects. Under SIMT the
+   computed next-pc is routed through the reconvergence stack (pure peek
+   variants), and a divergent branch executes its fall-through arm next —
+   unless the fall-through IS the reconvergence point (a loop exit), in
+   which case the suspended taken arm runs immediately. *)
+let rfv_peek_next t ~slot instr =
+  let pc = t.soa.Soa.pc.(slot) in
+  if not t.simt then
+    match instr with
+    | Instr.Jump tgt -> tgt
+    | Instr.Jump_if (c, tgt) ->
+        if Exec.operand t.ctxs.(slot) c <> 0 then tgt else pc + 1
+    | Instr.Jump_ifz (c, tgt) ->
+        if Exec.operand t.ctxs.(slot) c = 0 then tgt else pc + 1
+    | Instr.Exit -> pc
+    | _ -> pc + 1
+  else
+    let soa = t.soa in
+    match instr with
+    | Instr.Jump tgt -> Soa.simt_peek_next soa ~slot tgt
+    | Instr.Jump_if (_, tgt) | Instr.Jump_ifz (_, tgt) ->
+        let mask = Soa.simt_active soa ~slot in
+        let taken = Exec.branch_taken t.ctxs.(slot) instr ~mask in
+        if taken = 0 || tgt = pc + 1 then Soa.simt_peek_next soa ~slot (pc + 1)
+        else if taken = mask then Soa.simt_peek_next soa ~slot tgt
+        else
+          let rpc = t.reconv.(pc) in
+          if pc + 1 = rpc then tgt else pc + 1
+    | Instr.Exit -> (
+        match Soa.simt_peek_exit soa ~slot with Some next -> next | None -> pc)
+    | _ -> Soa.simt_peek_next soa ~slot (pc + 1)
+
+(* Forward-progress anchor for RFV: the oldest warp that could actually
+   issue (barrier-parked warps are waiting on others and must not anchor
+   the override, or a register-starved CTA deadlocks against it). The
+   answer depends only on statuses and ages, which change solely at
+   launches and issues, so it is memoized on [state_gen] — a scheduler
+   scan under register pressure probes many candidates per cycle and pays
+   the O(slots) sweep once instead of per candidate. *)
+let oldest_ready_age t =
+  if t.oldest_gen = t.state_gen then t.oldest_cache
+  else begin
+    let soa = t.soa in
+    let acc = ref max_int in
+    for slot = 0 to soa.Soa.n_slots - 1 do
+      if soa.Soa.status.(slot) = Soa.st_ready && soa.Soa.age.(slot) < !acc then
+        acc := soa.Soa.age.(slot)
+    done;
+    t.oldest_gen <- t.state_gen;
+    t.oldest_cache <- !acc;
+    !acc
+  end
+
+(* A failed acquire attempt marks the start (or continuation) of a stall
+   episode: the flag feeds the first-try statistic, and the transition
+   into it emits the [Acquire_stalled] trace event. *)
+let note_acquire_stall t ~slot ~cycle =
+  let soa = t.soa in
+  if t.tracing && soa.Soa.acquire_stalled.(slot) = 0 then
+    emit t ~cycle
+      (Event_trace.Acquire_stalled
+         { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
+           warp = soa.Soa.warp_in_cta.(slot) });
+  soa.Soa.acquire_stalled.(slot) <- 1
+
+(* [check_ready] is the issue-eligibility residual for a warp that already
+   passed the slot-local prefix (resident, [Ready], scoreboard clear):
+   structural memory slots, then policy state. With [~probe:true] the
+   answer is computed without side effects; the default (an actual issue
+   attempt by the warp's scheduler) records acquire stalls.
+
+   [mem_free] is [Mem_system.slot_free] evaluated once by the caller: a
+   scheduler scan (or classification sweep) issues nothing, so the answer
+   cannot change between the candidates of one scan — hoisting it turns a
+   per-candidate cross-module call into an argument read. *)
+let check_ready ~probe t ~mem_free ~slot ~cycle =
+  let soa = t.soa in
+  let pc = soa.Soa.pc.(slot) in
+  if t.is_global.(pc) && not mem_free then Blocked_mem
+  else if t.is_acquire.(pc) then begin
+    match t.pstate with
+    | Ps_srp srp ->
+        if Srp.section srp ~warp:slot >= 0 || Srp.free_sections srp > 0 then
+          Can_issue
+        else begin
+          if not probe then note_acquire_stall t ~slot ~cycle;
+          Blocked_acquire
+        end
+    | Ps_paired srp ->
+        if Srp_paired.available srp ~warp:slot then Can_issue
+        else begin
+          if not probe then note_acquire_stall t ~slot ~cycle;
+          Blocked_acquire
+        end
+    | Ps_static | Ps_owf | Ps_rfv _ -> Can_issue
+  end
+  else begin
+    match t.pstate with
+    | Ps_owf when t.touches_ext.(pc) && soa.Soa.owns_ext.(slot) = 0 ->
+        (* First extended access acquires the pair's registers for the
+           rest of the warp's life; blocked while the partner owns them. *)
+        (* A partner parked at a barrier cannot finish until this warp
+           arrives too; blocking here would deadlock the CTA, so ownership
+           is ceded (the one concession the no-in-kernel-release design
+           needs to run barrier kernels). *)
+        let partner = soa.Soa.partner.(slot) in
+        let partner_owns =
+          partner >= 0
+          && soa.Soa.owns_ext.(partner) = 1
+          && soa.Soa.status.(partner) = Soa.st_ready
+        in
+        if partner_owns then begin
+          if not probe then soa.Soa.acquire_stalled.(slot) <- 1;
+          Blocked_acquire
+        end
+        else Can_issue
+    | Ps_rfv r ->
+        let next = rfv_peek_next t ~slot t.instrs.(pc) in
+        let delta = t.rfv_live.(next) - soa.Soa.rfv_alloc.(slot) in
+        if
+          delta <= 0
+          || r.used + delta <= r.capacity
+          || soa.Soa.age.(slot) = oldest_ready_age t
+        then Can_issue
+        else Blocked_regs
+    | Ps_static | Ps_srp _ | Ps_paired _ | Ps_owf -> Can_issue
+  end
+
+(* [check_warp] answers "can this warp issue right now, and if not, why?"
+   for any resident warp — the status/scoreboard prefix plus a probing
+   {!check_ready}, so it has no side effects. The issue path and
+   [classify_idle] inline the prefix instead; this serves [idle_summary]
+   (the full-scan reference) and diagnostics. *)
+let check_warp t ~mem_free ~slot ~cycle =
+  let soa = t.soa in
+  let st = soa.Soa.status.(slot) in
+  if st = Soa.st_done || st = Soa.st_absent then Blocked_done
+  else if st = Soa.st_barrier then Blocked_barrier
+  else if
+    (* [ready_at] is the maintained max over the instruction's registers
+       of [reg_ready] (refreshed at every pc move), so the scoreboard
+       check is one comparison instead of a register-set scan. *)
+    soa.Soa.ready_at.(slot) > cycle
+  then Blocked_deps
+  else check_ready ~probe:true t ~mem_free ~slot ~cycle
+
+(* The schedulers' residual check for the pick in progress ([pick_cycle],
+   [pick_mem_free]). Under the static policy the residual is pure and
+   collapses to the memory-slot bit. *)
+let can_issue t slot =
+  if t.is_static then t.pick_mem_free || not t.is_global.(t.soa.Soa.pc.(slot))
+  else
+    match
+      check_ready ~probe:false t ~mem_free:t.pick_mem_free ~slot ~cycle:t.pick_cycle
+    with
+    | Can_issue -> true
+    | Blocked_deps | Blocked_mem | Blocked_acquire | Blocked_regs | Blocked_barrier
+    | Blocked_done ->
+        false
+
+(* Builds the SM's one [can_issue] closure, right after creation. *)
+let with_can_issue t =
+  t.can_issue <- can_issue t;
+  t
 
 let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     ~policy ~kernel ~memory ~mem_sys ~stats ~record_stores ~trace_warp0 =
@@ -185,6 +382,9 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
   let pc_regs =
     Array.map (fun i -> Array.of_list (Regset.to_list (Instr.regs i))) instrs
   in
+  let branch_tgt =
+    Array.map (fun i -> Option.value (Instr.target i) ~default:(-1)) instrs
+  in
   let is_global =
     Array.map (fun i -> Instr.lat_class i = Instr.Lat_global) instrs
   in
@@ -238,6 +438,7 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     cta_capacity;
     srp_sections;
     ctas = Array.make (max cta_capacity 1) None;
+    shared_pool = Array.make (max cta_capacity 1) [||];
     soa;
     ctxs;
     schedulers =
@@ -249,12 +450,17 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
        in
        Array.init cfg.n_schedulers (fun id ->
            Scheduler.create kind ~id ~n_schedulers:cfg.n_schedulers));
+    can_issue = (fun _ -> false) (* see [with_can_issue] *);
+    pick_cycle = 0;
+    pick_mem_free = false;
     pstate;
+    is_static = (match pstate with Ps_static -> true | _ -> false);
     latency;
     touches_ext;
     rfv_live;
     def_reg;
     pc_regs;
+    branch_tgt;
     is_global;
     is_acquire;
     max_rank =
@@ -278,6 +484,7 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     full_mask = (if simt then (1 lsl cfg.warp_size) - 1 else 0);
     corrupt_mask;
     events;
+    tracing = Option.is_some events;
     probe =
       Option.map
         (fun sink ->
@@ -287,12 +494,14 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     bs;
     es;
     verify;
+    mapping =
+      {
+        Gpu_uarch.Reg_mapping.bs;
+        es;
+        srp_offset = Gpu_uarch.Reg_mapping.srp_offset_for ~bs ~resident_warps:n_slots;
+      };
   }
-
-let emit t ~cycle event =
-  match t.events with
-  | Some tr -> Event_trace.emit tr ~cycle event
-  | None -> ()
+  |> with_can_issue
 
 let cta_capacity t = t.cta_capacity
 let srp_sections t = t.srp_sections
@@ -328,6 +537,13 @@ let rfv_can_admit t =
 let launch_priority t =
   match t.pstate with Ps_owf -> 1 | Ps_static | Ps_srp _ | Ps_paired _ | Ps_rfv _ -> 0
 
+(* A slot became [Ready] or moved its scoreboard bound: lower its
+   scheduler's [ready_at] bound so the next pick scans again. *)
+let wake_slot t ~slot =
+  let scheds = t.schedulers in
+  Scheduler.note_ready scheds.(slot mod Array.length scheds)
+    ~ready_at:t.soa.Soa.ready_at.(slot)
+
 let try_launch t ~global_cta ~cycle =
   (* The slot scan only happens when a slot is known to exist (occupied
      slots and resident CTAs correspond one to one), so the per-cycle
@@ -339,16 +555,18 @@ let try_launch t ~global_cta ~cycle =
     | None -> false
     | Some slot when rfv_can_admit t ->
         let n_warps = t.warps_per_cta in
-        let shmem_words = max 1 (t.kernel.Kernel.shmem_bytes / 4) in
+        let shared =
+          match t.shared_pool.(slot) with
+          | [||] ->
+              let a = Array.make (max 1 (t.kernel.Kernel.shmem_bytes / 4)) 0 in
+              t.shared_pool.(slot) <- a;
+              a
+          | a ->
+              Array.fill a 0 (Array.length a) 0;
+              a
+        in
         let cta =
-          {
-            cta_slot = slot;
-            global_cta;
-            n_warps;
-            arrived = 0;
-            running = n_warps;
-            shared = Array.make shmem_words 0;
-          }
+          { cta_slot = slot; global_cta; n_warps; arrived = 0; running = n_warps; shared }
         in
         t.ctas.(slot) <- Some cta;
         let soa = t.soa in
@@ -357,6 +575,7 @@ let try_launch t ~global_cta ~cycle =
           let age = t.next_age in
           Soa.launch soa ~slot:wslot ~cta_slot:slot ~global_cta ~warp_in_cta:w
             ~age;
+          wake_slot t ~slot:wslot;
           if t.simt then
             Soa.simt_reset soa ~slot:wslot
               ~mask:(t.full_mask land lnot t.corrupt_mask)
@@ -382,7 +601,8 @@ let try_launch t ~global_cta ~cycle =
         t.resident_warps <- t.resident_warps + n_warps;
         t.launched_this_cycle <- cycle;
         t.state_gen <- t.state_gen + 1;
-        emit t ~cycle (Event_trace.Cta_launched { sm = t.sm_id; cta = global_cta });
+        if t.tracing then
+          emit t ~cycle (Event_trace.Cta_launched { sm = t.sm_id; cta = global_cta });
         (match t.probe with
         | Some p ->
             Probe.cta_launch p ~cycle ~cta_slot:slot ~global_cta;
@@ -396,7 +616,8 @@ let try_launch t ~global_cta ~cycle =
     | Some _ -> false
 
 let retire_cta t ~cycle cta =
-  emit t ~cycle (Event_trace.Cta_retired { sm = t.sm_id; cta = cta.global_cta });
+  if t.tracing then
+    emit t ~cycle (Event_trace.Cta_retired { sm = t.sm_id; cta = cta.global_cta });
   (match t.probe with
   | Some p -> Probe.cta_retire p ~cycle ~cta_slot:cta.cta_slot
   | None -> ());
@@ -409,222 +630,57 @@ let retire_cta t ~cycle cta =
   t.retired <- t.retired + 1;
   t.stats.Stats.ctas_retired <- t.stats.Stats.ctas_retired + 1
 
-(* --- issue eligibility ---------------------------------------------- *)
-
-type block_reason =
-  | Can_issue
-  | Blocked_deps
-  | Blocked_mem
-  | Blocked_acquire
-  | Blocked_regs
-  | Blocked_barrier
-  | Blocked_done
-
-(* RFV: the next instruction's demand, given this instruction's outcome.
-   Branch conditions are evaluated without side effects. Under SIMT the
-   computed next-pc is routed through the reconvergence stack (pure peek
-   variants), and a divergent branch executes its fall-through arm next —
-   unless the fall-through IS the reconvergence point (a loop exit), in
-   which case the suspended taken arm runs immediately. *)
-let rfv_peek_next t ~slot instr =
-  let pc = t.soa.Soa.pc.(slot) in
-  if not t.simt then
-    match instr with
-    | Instr.Jump tgt -> tgt
-    | Instr.Jump_if (c, tgt) ->
-        if Exec.operand t.ctxs.(slot) c <> 0 then tgt else pc + 1
-    | Instr.Jump_ifz (c, tgt) ->
-        if Exec.operand t.ctxs.(slot) c = 0 then tgt else pc + 1
-    | Instr.Exit -> pc
-    | _ -> pc + 1
-  else
-    let soa = t.soa in
-    match instr with
-    | Instr.Jump tgt -> Soa.simt_peek_next soa ~slot tgt
-    | Instr.Jump_if _ | Instr.Jump_ifz _ -> (
-        let mask = Soa.simt_active soa ~slot in
-        match Exec.branch_masks t.ctxs.(slot) instr ~mask with
-        | Some (taken, tgt) ->
-            if taken = 0 || tgt = pc + 1 then Soa.simt_peek_next soa ~slot (pc + 1)
-            else if taken = mask then Soa.simt_peek_next soa ~slot tgt
-            else
-              let rpc = t.reconv.(pc) in
-              if pc + 1 = rpc then tgt else pc + 1
-        | None -> pc + 1)
-    | Instr.Exit -> (
-        match Soa.simt_peek_exit soa ~slot with Some next -> next | None -> pc)
-    | _ -> Soa.simt_peek_next soa ~slot (pc + 1)
-
-(* Forward-progress anchor for RFV: the oldest warp that could actually
-   issue (barrier-parked warps are waiting on others and must not anchor
-   the override, or a register-starved CTA deadlocks against it). The
-   answer depends only on statuses and ages, which change solely at
-   launches and issues, so it is memoized on [state_gen] — a scheduler
-   scan under register pressure probes many candidates per cycle and pays
-   the O(slots) sweep once instead of per candidate. *)
-let oldest_ready_age t =
-  if t.oldest_gen = t.state_gen then t.oldest_cache
-  else begin
-    let soa = t.soa in
-    let acc = ref max_int in
-    for slot = 0 to soa.Soa.n_slots - 1 do
-      if soa.Soa.status.(slot) = Soa.st_ready && soa.Soa.age.(slot) < !acc then
-        acc := soa.Soa.age.(slot)
-    done;
-    t.oldest_gen <- t.state_gen;
-    t.oldest_cache <- !acc;
-    !acc
-  end
-
-(* A failed acquire attempt marks the start (or continuation) of a stall
-   episode: the flag feeds the first-try statistic, and the transition
-   into it emits the [Acquire_stalled] trace event. *)
-let note_acquire_stall t ~slot ~cycle =
-  let soa = t.soa in
-  if soa.Soa.acquire_stalled.(slot) = 0 then
-    emit t ~cycle
-      (Event_trace.Acquire_stalled
-         { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
-           warp = soa.Soa.warp_in_cta.(slot) });
-  soa.Soa.acquire_stalled.(slot) <- 1
-
-(* [check_ready] is the issue-eligibility residual for a warp that already
-   passed the slot-local prefix (resident, [Ready], scoreboard clear):
-   structural memory slots, then policy state. With [~probe:true] the
-   answer is computed without side effects; the default (an actual issue
-   attempt by the warp's scheduler) records acquire stalls.
-
-   [mem_free] is [Mem_system.slot_free] evaluated once by the caller: a
-   scheduler scan (or classification sweep) issues nothing, so the answer
-   cannot change between the candidates of one scan — hoisting it turns a
-   per-candidate cross-module call into an argument read. *)
-let check_ready ~probe t ~mem_free ~slot ~cycle =
-  let soa = t.soa in
-  let pc = soa.Soa.pc.(slot) in
-  if t.is_global.(pc) && not mem_free then Blocked_mem
-  else if t.is_acquire.(pc) then begin
-    match t.pstate with
-    | Ps_srp srp ->
-        if Srp.holds srp ~warp:slot <> None || Srp.free_sections srp > 0 then
-          Can_issue
-        else begin
-          if not probe then note_acquire_stall t ~slot ~cycle;
-          Blocked_acquire
-        end
-    | Ps_paired srp ->
-        if Srp_paired.available srp ~warp:slot then Can_issue
-        else begin
-          if not probe then note_acquire_stall t ~slot ~cycle;
-          Blocked_acquire
-        end
-    | Ps_static | Ps_owf | Ps_rfv _ -> Can_issue
-  end
-  else begin
-    match t.pstate with
-    | Ps_owf when t.touches_ext.(pc) && soa.Soa.owns_ext.(slot) = 0 ->
-        (* First extended access acquires the pair's registers for the
-           rest of the warp's life; blocked while the partner owns them. *)
-        (* A partner parked at a barrier cannot finish until this warp
-           arrives too; blocking here would deadlock the CTA, so ownership
-           is ceded (the one concession the no-in-kernel-release design
-           needs to run barrier kernels). *)
-        let partner = soa.Soa.partner.(slot) in
-        let partner_owns =
-          partner >= 0
-          && soa.Soa.owns_ext.(partner) = 1
-          && soa.Soa.status.(partner) = Soa.st_ready
-        in
-        if partner_owns then begin
-          if not probe then soa.Soa.acquire_stalled.(slot) <- 1;
-          Blocked_acquire
-        end
-        else Can_issue
-    | Ps_rfv r ->
-        let next = rfv_peek_next t ~slot t.instrs.(pc) in
-        let delta = t.rfv_live.(next) - soa.Soa.rfv_alloc.(slot) in
-        if
-          delta <= 0
-          || r.used + delta <= r.capacity
-          || soa.Soa.age.(slot) = oldest_ready_age t
-        then Can_issue
-        else Blocked_regs
-    | Ps_static | Ps_srp _ | Ps_paired _ | Ps_owf -> Can_issue
-  end
-
-(* [check_warp] answers "can this warp issue right now, and if not, why?"
-   for any resident warp — the status/scoreboard prefix plus
-   {!check_ready}. The issue path never calls this (the schedulers read
-   the prefix straight off the SoA arrays); it serves the idle
-   classification and diagnostics. *)
-let check_warp ?(probe = false) t ~mem_free ~slot ~cycle =
-  let soa = t.soa in
-  let st = soa.Soa.status.(slot) in
-  if st = Soa.st_done || st = Soa.st_absent then Blocked_done
-  else if st = Soa.st_barrier then Blocked_barrier
-  else if
-    (* [ready_at] is the maintained max over the instruction's registers
-       of [reg_ready] (refreshed at every pc move), so the scoreboard
-       check is one comparison instead of a register-set scan. *)
-    soa.Soa.ready_at.(slot) > cycle
-  then Blocked_deps
-  else check_ready ~probe t ~mem_free ~slot ~cycle
-
 (* --- barrier handling ------------------------------------------------ *)
 
 let maybe_release_barrier t ~cycle cta =
   if cta.running > 0 && cta.arrived = cta.running then begin
     cta.arrived <- 0;
-    emit t ~cycle (Event_trace.Barrier_released { sm = t.sm_id; cta = cta.global_cta });
+    if t.tracing then
+      emit t ~cycle (Event_trace.Barrier_released { sm = t.sm_id; cta = cta.global_cta });
     let soa = t.soa in
     for w = 0 to cta.n_warps - 1 do
       let slot = (cta.cta_slot * t.warps_per_cta) + w in
-      if soa.Soa.status.(slot) = Soa.st_barrier then
-        soa.Soa.status.(slot) <- Soa.st_ready
+      if soa.Soa.status.(slot) = Soa.st_barrier then begin
+        soa.Soa.status.(slot) <- Soa.st_ready;
+        wake_slot t ~slot
+      end
     done
   end
 
 (* --- issue ----------------------------------------------------------- *)
 
+(* Checks an extended-set access against the Figure 6 two-segment
+   mapping. [pc_regs] is sorted, so its last entry is the highest
+   register. Base-set registers always map; extended ones map iff the warp
+   holds a section, so the first failing register is the lowest one at or
+   above [bs]. The mapping itself only runs to name the error. *)
 let verify_access t ~slot pc =
   if t.verify && t.touches_ext.(pc) then begin
-    let rs = Instr.regs t.instrs.(pc) in
-    let top = Regset.max_elt rs in
+    let regs = t.pc_regs.(pc) in
+    let top = regs.(Array.length regs - 1) in
     if top >= t.bs + t.es then
       raise
         (Verification_failure
            (Printf.sprintf "pc %d references r%d beyond |Bs|+|Es| = %d" pc top
               (t.bs + t.es)));
-    let section =
+    let held =
       match t.pstate with
-      | Ps_srp srp -> Srp.holds srp ~warp:slot
-      | Ps_paired srp ->
-          if Srp_paired.holds srp ~warp:slot then
-            Some (Srp_paired.pair_of_warp ~warp:slot)
-          else None
-      | Ps_static | Ps_owf | Ps_rfv _ -> Some 0
+      | Ps_srp srp -> Srp.section srp ~warp:slot >= 0
+      | Ps_paired srp -> Srp_paired.holds srp ~warp:slot
+      | Ps_static | Ps_owf | Ps_rfv _ -> true
     in
-    (* Drive every referenced register through the Figure 6 two-segment
-       mapping: it must produce a valid physical index (and trips exactly
-       when the warp holds no section). *)
-    let mapping =
-      {
-        Gpu_uarch.Reg_mapping.bs = t.bs;
-        es = t.es;
-        srp_offset =
-          Gpu_uarch.Reg_mapping.srp_offset_for ~bs:t.bs
-            ~resident_warps:t.soa.Soa.n_slots;
-      }
-    in
-    Regset.iter
-      (fun x ->
-        match Gpu_uarch.Reg_mapping.regmutex mapping ~widx:slot ~section ~x with
-        | Ok _ -> ()
-        | Error e ->
-            raise
-              (Verification_failure
-                 (Format.asprintf "pc %d, register r%d: %a" pc x
-                    Gpu_uarch.Reg_mapping.pp_error e)))
-      rs
+    if not held then begin
+      let i = ref 0 in
+      while regs.(!i) < t.bs do incr i done;
+      let x = regs.(!i) in
+      match Gpu_uarch.Reg_mapping.regmutex t.mapping ~widx:slot ~section:None ~x with
+      | Ok _ -> ()
+      | Error e ->
+          raise
+            (Verification_failure
+               (Format.asprintf "pc %d, register r%d: %a" pc x
+                  Gpu_uarch.Reg_mapping.pp_error e))
+    end
   end
 
 let rfv_move t ~slot ~next_pc =
@@ -664,10 +720,11 @@ let poison_ext t ~slot =
 let warp_done t ~cycle ~slot cta =
   let soa = t.soa in
   soa.Soa.status.(slot) <- Soa.st_done;
-  emit t ~cycle
-    (Event_trace.Warp_exited
-       { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
-         warp = soa.Soa.warp_in_cta.(slot) });
+  if t.tracing then
+    emit t ~cycle
+      (Event_trace.Warp_exited
+         { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
+           warp = soa.Soa.warp_in_cta.(slot) });
   Stats.record_warp_done t.stats ~cta:soa.Soa.global_cta.(slot)
     ~warp:soa.Soa.warp_in_cta.(slot) ~instructions:soa.Soa.issued.(slot);
   cta.running <- cta.running - 1;
@@ -677,13 +734,11 @@ let warp_done t ~cycle ~slot cta =
       Probe.warp_close p ~cycle ~slot
   | None -> ());
   (match t.pstate with
-  | Ps_srp srp -> (
-      match Srp.reset_warp srp ~warp:slot with
-      | Some _ -> (
-          match t.probe with
-          | Some p -> Probe.srp_sample p ~cycle ~in_use:(Srp.in_use srp)
-          | None -> ())
-      | None -> ())
+  | Ps_srp srp ->
+      if Srp.release_section srp ~warp:slot >= 0 then (
+        match t.probe with
+        | Some p -> Probe.srp_sample p ~cycle ~in_use:(Srp.in_use srp)
+        | None -> ())
   | Ps_paired srp ->
       if Srp_paired.reset_warp srp ~warp:slot then (
         match t.probe with
@@ -700,7 +755,8 @@ let warp_done t ~cycle ~slot cta =
 let advance t ~slot ~next =
   rfv_move t ~slot ~next_pc:next;
   t.soa.Soa.pc.(slot) <- next;
-  Soa.refresh_ready_at t.soa ~slot ~touched:t.pc_regs.(next)
+  Soa.refresh_ready_at t.soa ~slot ~touched:t.pc_regs.(next);
+  wake_slot t ~slot
 
 let mem_sample t ~cycle ~completion =
   match t.probe with
@@ -708,10 +764,11 @@ let mem_sample t ~cycle ~completion =
   | None -> ()
 
 let granted t ~cycle ~slot ~section ~in_use =
-  emit t ~cycle
-    (Event_trace.Acquire_granted
-       { sm = t.sm_id; cta = t.soa.Soa.global_cta.(slot);
-         warp = t.soa.Soa.warp_in_cta.(slot); section });
+  if t.tracing then
+    emit t ~cycle
+      (Event_trace.Acquire_granted
+         { sm = t.sm_id; cta = t.soa.Soa.global_cta.(slot);
+           warp = t.soa.Soa.warp_in_cta.(slot); section });
   t.soa.Soa.acquired_at.(slot) <- cycle;
   match t.probe with
   | Some p ->
@@ -720,10 +777,11 @@ let granted t ~cycle ~slot ~section ~in_use =
   | None -> ()
 
 let released t ~cycle ~slot ~section ~in_use =
-  emit t ~cycle
-    (Event_trace.Release
-       { sm = t.sm_id; cta = t.soa.Soa.global_cta.(slot);
-         warp = t.soa.Soa.warp_in_cta.(slot); section });
+  if t.tracing then
+    emit t ~cycle
+      (Event_trace.Release
+         { sm = t.sm_id; cta = t.soa.Soa.global_cta.(slot);
+           warp = t.soa.Soa.warp_in_cta.(slot); section });
   t.soa.Soa.acquired_at.(slot) <- -1;
   (match t.probe with
   | Some p ->
@@ -758,14 +816,6 @@ let multi_def_error t ~slot ~pc =
        (Instr.to_string t.instrs.(pc))
        section_state)
 
-let popcount m =
-  let c = ref 0 and m = ref m in
-  while !m <> 0 do
-    incr c;
-    m := !m land (!m - 1)
-  done;
-  !c
-
 (* Route a computed next-pc through the reconvergence stack (pops when it
    reaches the current reconvergence point); identity in uniform mode. *)
 let route t ~slot next =
@@ -786,15 +836,12 @@ let issue t ~slot ~cycle =
   in
   verify_access t ~slot pc;
   (* Global accesses claim their memory slot before any architectural
-     state changes, so a [`No_slot] answer leaves nothing to undo. The
+     state changes, so a refused claim ([-1]) leaves nothing to undo. The
      completion cycle depends only on the clock and DRAM horizon, never on
      this instruction's execution. *)
   let completion =
     if not t.is_global.(pc) then 0
-    else
-      match Mem_system.issue_global t.mem_sys ~sm:t.sm_id ~cycle with
-      | `Completion c -> c
-      | `No_slot -> -1
+    else Mem_system.issue_global t.mem_sys ~sm:t.sm_id ~cycle
   in
   if completion < 0 then false
   else begin
@@ -823,10 +870,10 @@ let issue t ~slot ~cycle =
        otherwise. Lane-occupancy statistics are kept in both modes with
        the same convention (every uniform issue is a full warp), so
        warp-uniform programs report identical totals. *)
-    let louts =
+    let ctl =
       if t.simt then begin
         let mask = Soa.simt_active soa ~slot in
-        let on = popcount mask in
+        let on = Gpu_isa.Bits.popcount mask in
         t.stats.Stats.active_lane_cycles <-
           t.stats.Stats.active_lane_cycles + on;
         t.stats.Stats.predicated_lane_cycles <-
@@ -836,7 +883,7 @@ let issue t ~slot ~cycle =
       else begin
         t.stats.Stats.active_lane_cycles <-
           t.stats.Stats.active_lane_cycles + t.cfg.warp_size;
-        Exec.L_uniform (Exec.step t.ctxs.(slot) instr)
+        Exec.step t.ctxs.(slot) instr
       end
     in
     t.stats.Stats.instructions <- t.stats.Stats.instructions + 1;
@@ -858,46 +905,52 @@ let issue t ~slot ~cycle =
       if t.is_global.(pc) then mem_sample t ~cycle ~completion
     end
     else multi_def_error t ~slot ~pc;
-    (match louts with
-    | Exec.L_diverge { taken; tgt } ->
+    (match ctl with
+    | Exec.Split ->
         (* Both arms land on pc+1 when the target is the fall-through:
            no divergence to track. Otherwise suspend the continuation and
            the taken arm and run the fall-through arm first (routing pops
            the taken arm immediately when the branch is a loop exit). *)
+        let tgt = t.branch_tgt.(pc) in
         if tgt = pc + 1 then advance t ~slot ~next:(route t ~slot (pc + 1))
         else begin
+          let taken =
+            Exec.branch_taken t.ctxs.(slot) instr ~mask:(Soa.simt_active soa ~slot)
+          in
           t.stats.Stats.divergent_branches <-
             t.stats.Stats.divergent_branches + 1;
           Soa.simt_diverge soa ~slot ~tgt ~taken ~rpc:t.reconv.(pc);
           advance t ~slot ~next:(Soa.simt_next soa ~slot (pc + 1))
         end
-    | Exec.L_uniform Exec.Next -> advance t ~slot ~next:(route t ~slot (pc + 1))
-    | Exec.L_uniform (Exec.Goto tgt) -> advance t ~slot ~next:(route t ~slot tgt)
-    | Exec.L_uniform Exec.Stop ->
+    | Exec.Fall -> advance t ~slot ~next:(route t ~slot (pc + 1))
+    | Exec.Branch -> advance t ~slot ~next:(route t ~slot t.branch_tgt.(pc))
+    | Exec.Halt ->
         if t.simt then (
           match Soa.simt_exit soa ~slot with
           | None -> warp_done t ~cycle ~slot cta
           | Some next -> advance t ~slot ~next)
         else warp_done t ~cycle ~slot cta
-    | Exec.L_uniform Exec.Sync ->
+    | Exec.Barrier ->
         soa.Soa.status.(slot) <- Soa.st_barrier;
         advance t ~slot ~next:(route t ~slot (pc + 1));
         cta.arrived <- cta.arrived + 1;
-        emit t ~cycle
-          (Event_trace.Barrier_arrived
-             { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
-               warp = soa.Soa.warp_in_cta.(slot) });
+        if t.tracing then
+          emit t ~cycle
+            (Event_trace.Barrier_arrived
+               { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
+                 warp = soa.Soa.warp_in_cta.(slot) });
         maybe_release_barrier t ~cycle cta
-    | Exec.L_uniform Exec.Acq -> (
+    | Exec.Acquire ->
         let grant =
           match t.pstate with
-          | Ps_srp srp -> (
-              match Srp.acquire srp ~warp:slot with
-              | Srp.Granted s ->
-                  granted t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp);
-                  true
-              | Srp.Already_held _ -> true
-              | Srp.Stall -> false)
+          | Ps_srp srp ->
+              Srp.section srp ~warp:slot >= 0
+              || begin
+                   let s = Srp.grant srp ~warp:slot in
+                   if s >= 0 then
+                     granted t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp);
+                   s >= 0
+                 end
           | Ps_paired srp -> (
               match Srp_paired.acquire srp ~warp:slot with
               | Srp_paired.Granted ->
@@ -909,24 +962,22 @@ let issue t ~slot ~cycle =
               | Srp_paired.Stall -> false)
           | Ps_static | Ps_owf | Ps_rfv _ -> true
         in
-        match grant with
-        | true ->
-            t.stats.Stats.acquire_execs <- t.stats.Stats.acquire_execs + 1;
-            if soa.Soa.acquire_stalled.(slot) = 0 then
-              t.stats.Stats.acquire_first_try <-
-                t.stats.Stats.acquire_first_try + 1;
-            soa.Soa.acquire_stalled.(slot) <- 0;
-            advance t ~slot ~next:(route t ~slot (pc + 1))
-        | false ->
-            (* Lost a same-cycle race for the last section; retry later. *)
-            soa.Soa.acquire_stalled.(slot) <- 1)
-    | Exec.L_uniform Exec.Rel ->
+        if grant then begin
+          t.stats.Stats.acquire_execs <- t.stats.Stats.acquire_execs + 1;
+          if soa.Soa.acquire_stalled.(slot) = 0 then
+            t.stats.Stats.acquire_first_try <-
+              t.stats.Stats.acquire_first_try + 1;
+          soa.Soa.acquire_stalled.(slot) <- 0;
+          advance t ~slot ~next:(route t ~slot (pc + 1))
+        end
+        else
+          (* Lost a same-cycle race for the last section; retry later. *)
+          soa.Soa.acquire_stalled.(slot) <- 1
+    | Exec.Release ->
         (match t.pstate with
-        | Ps_srp srp -> (
-            match Srp.release srp ~warp:slot with
-            | Srp.Released s ->
-                released t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp)
-            | Srp.Not_held -> ())
+        | Ps_srp srp ->
+            let s = Srp.release_section srp ~warp:slot in
+            if s >= 0 then released t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp)
         | Ps_paired srp -> (
             match Srp_paired.release srp ~warp:slot with
             | Srp_paired.Released ->
@@ -972,7 +1023,7 @@ let idle_summary t ~cycle =
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
   for slot = 0 to soa.Soa.n_slots - 1 do
     if soa.Soa.status.(slot) < Soa.st_done then begin
-      let reason = check_warp ~probe:true t ~mem_free ~slot ~cycle in
+      let reason = check_warp t ~mem_free ~slot ~cycle in
       if rank_block reason > rank_block !best then best := reason;
       match reason with
       | Blocked_deps ->
@@ -987,27 +1038,47 @@ let idle_summary t ~cycle =
   (stall_reason_of_block !best, !wake)
 
 (* Per-cycle idle attribution: only the most specific blockage is needed,
-   not the wakeup bound, and the blockage ranking is bounded by the
-   policy ([Blocked_regs] only under RFV, [Blocked_acquire] only under
-   SRP/paired/OWF) — so the scan stops as soon as the policy's top rank
-   is found instead of visiting every slot. Runs on every cycle where
-   some scheduler finds nothing to issue. *)
+   not the wakeup bound. The loop reads [status] and [ready_at] directly
+   and calls [check_ready] only for a warp whose scoreboard has cleared.
+   It stops at the highest rank still possible: [max_rank] is the policy's
+   ceiling ([Blocked_regs] only under RFV, [Blocked_acquire] only under
+   SRP/paired/OWF), and with a memory slot free [Blocked_mem] cannot occur,
+   so under the static policy the first warp blocked on dependencies
+   settles the answer. Runs on every cycle where some scheduler finds
+   nothing to issue; {!idle_summary} is the unoptimised reference. *)
 let classify_idle t ~cycle =
   let soa = t.soa in
   let status = soa.Soa.status in
+  let ready_at = soa.Soa.ready_at in
+  let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
+  let ceiling = if t.max_rank = 3 && mem_free then 2 else t.max_rank in
   let best = ref Blocked_done in
   let best_rank = ref 0 in
   let n = soa.Soa.n_slots in
-  let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
   let slot = ref 0 in
-  while !slot < n && !best_rank < t.max_rank do
+  while !slot < n && !best_rank < ceiling do
     let s = !slot in
-    if status.(s) < Soa.st_done then begin
-      let reason = check_warp ~probe:true t ~mem_free ~slot:s ~cycle in
-      let rk = rank_block reason in
-      if rk > !best_rank then begin
-        best_rank := rk;
-        best := reason
+    let st = status.(s) in
+    if st = Soa.st_barrier then begin
+      if !best_rank < 1 then begin
+        best_rank := 1;
+        best := Blocked_barrier
+      end
+    end
+    else if st = Soa.st_ready then begin
+      if ready_at.(s) > cycle then begin
+        if !best_rank < 2 then begin
+          best_rank := 2;
+          best := Blocked_deps
+        end
+      end
+      else begin
+        let reason = check_ready ~probe:true t ~mem_free ~slot:s ~cycle in
+        let rk = rank_block reason in
+        if rk > !best_rank then begin
+          best_rank := rk;
+          best := reason
+        end
       end
     end;
     slot := s + 1
@@ -1034,7 +1105,7 @@ let diagnose t ~cycle =
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
   for slot = soa.Soa.n_slots - 1 downto 0 do
     if soa.Soa.status.(slot) < Soa.st_done then begin
-      let block = check_warp ~probe:true t ~mem_free ~slot ~cycle in
+      let block = check_warp t ~mem_free ~slot ~cycle in
       let held_section =
         match t.pstate with
         | Ps_srp srp -> Srp.holds srp ~warp:slot
@@ -1130,34 +1201,22 @@ let can_launch t = t.resident_ctas < t.cta_capacity && rfv_can_admit t
 let step t ~cycle =
   (* Idle classification is pure and the SM state only changes when a
      scheduler issues, so consecutive idle schedulers in the same cycle
-     share one classification instead of rescanning the warps. *)
+     share one classification instead of rescanning the warps. A scheduler
+     whose [ready_at] bound is still ahead of the clock answers without
+     scanning; the SM keeps that bound sound by calling [wake_slot] at
+     every launch, barrier release and pc advance. *)
   let idle_valid = ref false in
   let idle_reason = ref Stats.Stall_empty in
   let issued_any = ref false in
-  let is_static =
-    match t.pstate with
-    | Ps_static -> true
-    | Ps_srp _ | Ps_paired _ | Ps_owf | Ps_rfv _ -> false
-  in
   let scheds = t.schedulers in
+  t.pick_cycle <- cycle;
   for i = 0 to Array.length scheds - 1 do
     (* One scheduler's scan issues nothing, so the memory-slot answer is
        constant across its candidates and is captured per pick (an earlier
        scheduler's issue this cycle may have consumed the last slot, so it
-       cannot be hoisted above the loop). Under the static policy the
-       eligibility residual is pure and collapses to that one bit. *)
-    let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
-    let can_issue =
-      if is_static then fun slot ->
-        mem_free || not t.is_global.(t.soa.Soa.pc.(slot))
-      else fun slot ->
-        match check_ready ~probe:false t ~mem_free ~slot ~cycle with
-        | Can_issue -> true
-        | Blocked_deps | Blocked_mem | Blocked_acquire | Blocked_regs
-        | Blocked_barrier | Blocked_done ->
-            false
-    in
-    let slot = Scheduler.pick scheds.(i) ~soa:t.soa ~cycle ~can_issue in
+       cannot be hoisted above the loop). *)
+    t.pick_mem_free <- Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle;
+    let slot = Scheduler.pick scheds.(i) ~soa:t.soa ~cycle ~can_issue:t.can_issue in
     if slot >= 0 then begin
       idle_valid := false;
       if not !issued_any then begin

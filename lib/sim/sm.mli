@@ -67,7 +67,10 @@ val step : t -> cycle:int -> unit
 (** Attribute an idle scheduler slot to the most specific blockage among
     the resident warps. Pure observation: probing never mutates warp
     state, statistics, or the event trace, no matter how many idle
-    schedulers classify the same cycle. *)
+    schedulers classify the same cycle. The scan stops at the highest
+    stall rank the policy and the memory-slot state still allow, so it
+    often visits only a prefix of the slots; it always equals
+    [fst (idle_summary t ~cycle)]. *)
 val classify_idle : t -> cycle:int -> Stats.stall_reason
 
 (** [idle_summary t ~cycle] is {!classify_idle} plus the SM's min-wakeup

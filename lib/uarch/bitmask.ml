@@ -26,20 +26,15 @@ let clear t i =
 
 let test t i = check t i; t.bits land (1 lsl i) <> 0
 
-let ffz t =
-  let rec go i =
-    if i >= t.valid then None
-    else if t.bits land (1 lsl i) = 0 then Some i
-    else go (i + 1)
-  in
-  go 0
+let usable t = (1 lsl t.valid) - 1
 
-let popcount t =
-  let rec count acc i =
-    if i >= t.valid then acc
-    else count (acc + ((t.bits lsr i) land 1)) (i + 1)
-  in
-  count 0 0
+let first_zero t =
+  let free = lnot t.bits land usable t in
+  if free = 0 then -1 else Gpu_isa.Bits.lsb free
+
+let ffz t = match first_zero t with -1 -> None | i -> Some i
+
+let popcount t = Gpu_isa.Bits.popcount (t.bits land usable t)
 
 let pp ppf t =
   for i = t.width - 1 downto 0 do

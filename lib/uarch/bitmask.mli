@@ -27,6 +27,9 @@ val test : t -> int -> bool
 (** Index of the least-significant zero bit, if any usable bit is clear. *)
 val ffz : t -> int option
 
+(** {!ffz} without the option: [-1] when every usable bit is set. *)
+val first_zero : t -> int
+
 (** Number of set bits among the usable bits. *)
 val popcount : t -> int
 

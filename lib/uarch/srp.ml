@@ -21,35 +21,42 @@ let create ~n_warps ~sections =
     lut = Array.make n_warps 0;
   }
 
-let holds t ~warp =
-  if Bitmask.test t.status warp then Some t.lut.(warp) else None
+let section t ~warp = if Bitmask.test t.status warp then t.lut.(warp) else -1
+
+let holds t ~warp = match section t ~warp with -1 -> None | s -> Some s
+
+let grant t ~warp =
+  if Bitmask.test t.status warp then
+    invalid_arg "Srp.grant: warp already holds a section";
+  let s = Bitmask.first_zero t.srp in
+  if s >= 0 then begin
+    Bitmask.set t.srp s;
+    Bitmask.set t.status warp;
+    t.lut.(warp) <- s
+  end;
+  s
 
 let acquire t ~warp =
-  match holds t ~warp with
-  | Some section -> Already_held section
-  | None -> (
-      match Bitmask.ffz t.srp with
-      | None -> Stall
-      | Some section ->
-          Bitmask.set t.srp section;
-          Bitmask.set t.status warp;
-          t.lut.(warp) <- section;
-          Granted section)
+  match section t ~warp with
+  | -1 -> ( match grant t ~warp with -1 -> Stall | s -> Granted s)
+  | s -> Already_held s
+
+let release_section t ~warp =
+  let s = section t ~warp in
+  if s >= 0 then begin
+    Bitmask.clear t.status warp;
+    Bitmask.clear t.srp s
+  end;
+  s
 
 let release t ~warp =
-  match holds t ~warp with
-  | None -> Not_held
-  | Some section ->
-      Bitmask.clear t.status warp;
-      Bitmask.clear t.srp section;
-      Released section
+  match release_section t ~warp with -1 -> Not_held | s -> Released s
 
 let n_sections t = Bitmask.valid t.srp
 let free_sections t = n_sections t - Bitmask.popcount t.srp
 let in_use t = Bitmask.popcount t.srp
 
-let reset_warp t ~warp =
-  match release t ~warp with Released s -> Some s | Not_held -> None
+let reset_warp t ~warp = match release_section t ~warp with -1 -> None | s -> Some s
 
 (* Independent cross-check of the three redundant structures: every held
    warp must map (via the lut) to a distinct acquired section, and the two

@@ -28,6 +28,25 @@ val release : t -> warp:int -> release_result
 (** Section currently held by the warp, if any. *)
 val holds : t -> warp:int -> int option
 
+(** {2 Unboxed forms}
+
+    The issue stage calls these on every acquire-related instruction, so
+    they answer with a plain section index ([-1] for none) instead of an
+    allocated option or result. The functions above are defined on top of
+    them. *)
+
+(** [section t ~warp] is {!holds} as an int: the held section or [-1]. *)
+val section : t -> warp:int -> int
+
+(** [grant t ~warp] assigns the lowest free section to a warp holding
+    none and returns it, or [-1] (a stall) when none is free.
+    @raise Invalid_argument when the warp already holds a section. *)
+val grant : t -> warp:int -> int
+
+(** [release_section t ~warp] frees the warp's section and returns it, or
+    [-1] when it held none. *)
+val release_section : t -> warp:int -> int
+
 val n_sections : t -> int
 val free_sections : t -> int
 val in_use : t -> int

@@ -119,15 +119,15 @@ let test_store_recording () =
 
 let test_outcomes () =
   let ctx, _, _ = make_ctx () in
-  Alcotest.(check bool) "next" true (step ctx (I.Mov (0, I.Imm 1)) = Exec.Next);
-  Alcotest.(check bool) "goto" true (step ctx (I.Jump 7) = Exec.Goto 7);
-  Alcotest.(check bool) "taken" true (step ctx (I.Jump_if (I.Imm 1, 3)) = Exec.Goto 3);
-  Alcotest.(check bool) "not taken" true (step ctx (I.Jump_if (I.Imm 0, 3)) = Exec.Next);
-  Alcotest.(check bool) "ifz taken" true (step ctx (I.Jump_ifz (I.Imm 0, 3)) = Exec.Goto 3);
-  Alcotest.(check bool) "stop" true (step ctx I.Exit = Exec.Stop);
-  Alcotest.(check bool) "sync" true (step ctx I.Bar = Exec.Sync);
-  Alcotest.(check bool) "acq" true (step ctx I.Acquire = Exec.Acq);
-  Alcotest.(check bool) "rel" true (step ctx I.Release = Exec.Rel)
+  Alcotest.(check bool) "next" true (step ctx (I.Mov (0, I.Imm 1)) = Exec.Fall);
+  Alcotest.(check bool) "goto" true (step ctx (I.Jump 7) = Exec.Branch);
+  Alcotest.(check bool) "taken" true (step ctx (I.Jump_if (I.Imm 1, 3)) = Exec.Branch);
+  Alcotest.(check bool) "not taken" true (step ctx (I.Jump_if (I.Imm 0, 3)) = Exec.Fall);
+  Alcotest.(check bool) "ifz taken" true (step ctx (I.Jump_ifz (I.Imm 0, 3)) = Exec.Branch);
+  Alcotest.(check bool) "stop" true (step ctx I.Exit = Exec.Halt);
+  Alcotest.(check bool) "sync" true (step ctx I.Bar = Exec.Barrier);
+  Alcotest.(check bool) "acq" true (step ctx I.Acquire = Exec.Acquire);
+  Alcotest.(check bool) "rel" true (step ctx I.Release = Exec.Release)
 
 let suite =
   [ Alcotest.test_case "binary operators" `Quick test_binops;

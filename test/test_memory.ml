@@ -33,11 +33,11 @@ let test_written () =
     (Memory.written m)
 
 (* Unwrap a successful issue; the slot-availability cases below check
-   [`No_slot] explicitly. *)
+   the [-1] refusal explicitly. *)
 let issue ms ~sm ~cycle =
   match Mem_system.issue_global ms ~sm ~cycle with
-  | `Completion c -> c
-  | `No_slot -> Alcotest.fail "unexpected `No_slot"
+  | -1 -> Alcotest.fail "unexpected refusal (no free slot)"
+  | c -> c
 
 let test_mem_system_slots () =
   let arch = { Util.small_arch with Gpu_uarch.Arch_config.mem_slots = 2 } in
@@ -55,11 +55,10 @@ let test_mem_system_no_slot () =
   let arch = { Util.small_arch with Gpu_uarch.Arch_config.mem_slots = 1 } in
   let ms = Mem_system.create arch ~n_sms:2 in
   let c1 = issue ms ~sm:0 ~cycle:0 in
-  (* Structured back-pressure: a full SM answers [`No_slot] instead of
+  (* Structured back-pressure: a full SM answers [-1] instead of
      raising, without counting the refused request as issued. *)
-  (match Mem_system.issue_global ms ~sm:0 ~cycle:0 with
-  | `No_slot -> ()
-  | `Completion _ -> Alcotest.fail "expected `No_slot on a full SM");
+  Alcotest.(check int) "refused on a full SM" (-1)
+    (Mem_system.issue_global ms ~sm:0 ~cycle:0);
   Alcotest.(check int) "refusal not counted" 1 (Mem_system.issued ms);
   (* Slots are per-SM: the other SM still issues. *)
   let _ = issue ms ~sm:1 ~cycle:0 in

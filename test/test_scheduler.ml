@@ -176,6 +176,71 @@ let test_pick_near_age_limit () =
   in
   Alcotest.(check int) "saturated owner still first" 0 (pick sched2 soa2)
 
+(* The ready_at bound lets [pick] answer -1 without scanning. Drive each
+   scheduler kind through random launches, issues that move a warp's
+   [ready_at], barrier parks and releases, exits and clock ticks, calling
+   [note_ready] exactly where the SM does. Whenever a pick that accepts
+   every candidate returns -1, no owned slot may be Ready with its
+   scoreboard cleared. A first pick per step rejects some candidates, so
+   scans that end with eligible-but-refused warps are covered too. *)
+let prop_bound_hides_no_ready_warp kind name =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 150) (triple (int_bound 5) (int_bound 11) (int_bound 6)))
+  in
+  Util.qtest ~count:200 ("ready_at bound never hides a ready warp (" ^ name ^ ")") gen
+    (fun ops ->
+      let n_slots = 12 and n_sched = 2 in
+      let soa = Soa.create ~n_slots ~n_regs:1 () in
+      let scheds =
+        Array.init n_sched (fun id -> Scheduler.create kind ~id ~n_schedulers:n_sched)
+      in
+      let cycle = ref 0 and next_age = ref 0 in
+      let note s =
+        Scheduler.note_ready scheds.(s mod n_sched) ~ready_at:soa.Soa.ready_at.(s)
+      in
+      let issue s d =
+        soa.Soa.ready_at.(s) <- !cycle + d;
+        note s
+      in
+      let st s = soa.Soa.status.(s) in
+      List.for_all
+        (fun (op, slot, d) ->
+          (match op with
+          | 0 when st slot = Soa.st_absent ->
+              Soa.launch soa ~slot ~cta_slot:0 ~global_cta:0 ~warp_in_cta:slot
+                ~age:!next_age;
+              soa.Soa.key.(slot) <- Scheduler.pack_key ~priority:0 ~age:!next_age;
+              incr next_age;
+              note slot
+          | 1 -> cycle := !cycle + d
+          | 2 when st slot = Soa.st_ready -> soa.Soa.status.(slot) <- Soa.st_barrier
+          | 3 when st slot = Soa.st_barrier ->
+              soa.Soa.status.(slot) <- Soa.st_ready;
+              note slot
+          | 4 when st slot = Soa.st_ready -> Soa.retire soa ~slot
+          | _ -> ());
+          Array.for_all
+            (fun sched ->
+              let refuse s = (s + !cycle) mod 3 = 0 in
+              let pick can_issue = Scheduler.pick sched ~soa ~cycle:!cycle ~can_issue in
+              let s = pick (fun s -> not (refuse s)) in
+              if s >= 0 then issue s d;
+              let s = pick (fun _ -> true) in
+              if s >= 0 then begin
+                issue s d;
+                true
+              end
+              else
+                List.for_all
+                  (fun slot ->
+                    (not (Scheduler.owns sched ~slot))
+                    || st slot <> Soa.st_ready
+                    || soa.Soa.ready_at.(slot) > !cycle)
+                  (List.init n_slots Fun.id))
+            scheds)
+        ops)
+
 let suite =
   [ Alcotest.test_case "GTO picks oldest" `Quick test_gto_oldest_first;
     Alcotest.test_case "GTO greedy behaviour" `Quick test_gto_greedy;
@@ -190,4 +255,7 @@ let suite =
     Alcotest.test_case "warp scoreboard" `Quick test_warp_deps_ready;
     Alcotest.test_case "packed key order" `Quick test_packed_key_order;
     Alcotest.test_case "packed key saturation" `Quick test_packed_key_saturation;
-    Alcotest.test_case "pick near the age limit" `Quick test_pick_near_age_limit ]
+    Alcotest.test_case "pick near the age limit" `Quick test_pick_near_age_limit;
+    prop_bound_hides_no_ready_warp Scheduler.Gto "GTO";
+    prop_bound_hides_no_ready_warp Scheduler.Lrr "LRR";
+    prop_bound_hides_no_ready_warp (Scheduler.Two_level 3) "two-level" ]
