@@ -21,18 +21,13 @@ type run = {
 let prepare_phase = Telemetry.Profile.phase "runner.prepare"
 let simulate_phase = Telemetry.Profile.phase "runner.simulate"
 
-let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
+let prepare ?options cfg technique kernel =
+  Telemetry.Profile.time prepare_phase (fun () ->
+      Technique.prepare ?options cfg technique kernel)
+
+let simulate ?(simt = false) ?(record_stores = false) ?(trace_warp0 = false)
     ?(max_cycles = 20_000_000) ?(fast_forward = true) ?(corrupt_mask = 0)
-    ?telemetry cfg technique kernel =
-  let prepared =
-    Telemetry.Profile.time prepare_phase (fun () ->
-        Technique.prepare ?options cfg technique kernel)
-  in
-  let simt =
-    match options with
-    | Some o -> o.Technique.simt
-    | None -> Technique.default_options.Technique.simt
-  in
+    ?telemetry cfg (prepared : Technique.prepared) =
   let config =
     {
       Gpu.arch = cfg;
@@ -47,13 +42,13 @@ let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
       corrupt_mask;
     }
   in
-  let kernel' = prepared.Technique.kernel in
+  let kernel = prepared.Technique.kernel in
   let stats =
-    Telemetry.Profile.time simulate_phase (fun () -> Gpu.run config kernel')
+    Telemetry.Profile.time simulate_phase (fun () -> Gpu.run config kernel)
   in
-  let theoretical_warps = Gpu.theoretical_warps config kernel' in
+  let theoretical_warps = Gpu.theoretical_warps config kernel in
   {
-    technique;
+    technique = prepared.Technique.technique;
     kernel_name = kernel.Kernel.name;
     cycles = stats.Stats.cycles;
     instructions = stats.Stats.instructions;
@@ -63,10 +58,16 @@ let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
       /. float_of_int cfg.Gpu_uarch.Arch_config.max_warps;
     achieved_occupancy = Stats.achieved_occupancy stats;
     acquire_ratio = Stats.acquire_success_ratio stats;
-    srp_sections = Gpu.srp_sections_of config kernel';
+    srp_sections = Gpu.srp_sections_of config kernel;
     stats;
     prepared;
   }
+
+let execute ?(options = Technique.default_options) ?record_stores ?trace_warp0
+    ?max_cycles ?fast_forward ?corrupt_mask ?telemetry cfg technique kernel =
+  simulate ~simt:options.Technique.simt ?record_stores ?trace_warp0 ?max_cycles
+    ?fast_forward ?corrupt_mask ?telemetry cfg
+    (prepare ~options cfg technique kernel)
 
 (* Stable digest of everything the figures read off a run. Two runs of the
    same cell must produce the same fingerprint no matter which domain (or

@@ -16,7 +16,34 @@ type run = {
   prepared : Technique.prepared;
 }
 
-(** [execute ?fast_forward cfg technique kernel] prepares and simulates.
+(** [prepare ?options cfg technique kernel] is {!Technique.prepare}, timed
+    in the [runner.prepare] profile slot. It ignores [options.simt], so
+    one prepared kernel serves both execution models. *)
+val prepare :
+  ?options:Technique.options ->
+  Gpu_uarch.Arch_config.t ->
+  Technique.t ->
+  Gpu_sim.Kernel.t ->
+  Technique.prepared
+
+(** [simulate cfg prepared] runs a prepared kernel, timed in the
+    [runner.simulate] profile slot, and derives the run's metrics. [simt]
+    (default [false]) selects per-thread execution; the other arguments
+    are those of {!execute}. *)
+val simulate :
+  ?simt:bool ->
+  ?record_stores:bool ->
+  ?trace_warp0:bool ->
+  ?max_cycles:int ->
+  ?fast_forward:bool ->
+  ?corrupt_mask:int ->
+  ?telemetry:Telemetry.Sink.t ->
+  Gpu_uarch.Arch_config.t ->
+  Technique.prepared ->
+  run
+
+(** [execute ?fast_forward cfg technique kernel] is {!prepare} followed by
+    {!simulate} with [simt] taken from [options].
     [fast_forward] (default [true]) selects event-driven cycle skipping in
     the simulator; it is semantics-preserving, so the resulting [run] (and
     its {!fingerprint}) is identical either way — [false] exists as the

@@ -337,6 +337,31 @@ let forced_split_failures (case : Gen.t) ~expected ~inject =
               | None -> ()));
         (List.rev !failures, injected)
 
+(* --- prepared techniques ------------------------------------------------ *)
+
+(* One case's techniques, each prepared at its first run and reused by
+   every later run of it: fast-forward, brute-force and --simt alike
+   ([Runner.prepare] ignores [simt]). A table lives for one case only,
+   never in a global: cases run concurrently under [--jobs]. *)
+type techniques = {
+  kern : Kernel.t;
+  mutable prepared : (Technique.t * Technique.prepared) list;
+}
+
+let techniques (case : Gen.t) = { kern = Gen.kernel case; prepared = [] }
+
+let execute ts ?simt ?fast_forward ?corrupt_mask tech =
+  let prepared =
+    match List.assoc_opt tech ts.prepared with
+    | Some p -> p
+    | None ->
+        let p = Runner.prepare arch0 tech ts.kern in
+        ts.prepared <- (tech, p) :: ts.prepared;
+        p
+  in
+  Runner.simulate ?simt ?fast_forward ?corrupt_mask ~record_stores:true
+    ~max_cycles arch0 prepared
+
 (* --- technique differential ------------------------------------------- *)
 
 (* The shared-memory discipline rule: a technique must hit the user
@@ -356,15 +381,14 @@ let oob_delta ~strict_oob ~base_oob ~label (stats : Stats.t) =
       }
   else None
 
-let technique_failures (case : Gen.t) ~expected ~base_oob ~strict_oob =
-  let kern = Gen.kernel case in
+let technique_failures ts ~expected ~base_oob ~strict_oob =
   let failures = ref [] in
   let fail kind detail = failures := { kind; detail } :: !failures in
   let successes = ref [] in
   List.iter
     (fun tech ->
       let name = Technique.name tech in
-      match Runner.execute ~record_stores:true ~max_cycles arch0 tech kern with
+      match execute ts tech with
       | run ->
           if run.Runner.stats.Stats.timed_out then
             fail Timeout (Printf.sprintf "%s: exceeded %d cycles" name max_cycles)
@@ -399,9 +423,7 @@ let technique_failures (case : Gen.t) ~expected ~base_oob ~strict_oob =
       let name = Technique.name tech in
       if tech = Technique.Baseline || List.mem tech !successes then
         match
-          ( Runner.execute ~record_stores:true ~max_cycles arch0 tech kern,
-            Runner.execute ~record_stores:true ~max_cycles ~fast_forward:false
-              arch0 tech kern )
+          (execute ts tech, execute ts ~fast_forward:false tech)
         with
         | ff, bf -> (
             match
@@ -517,18 +539,13 @@ let forced_regdem_failures (case : Gen.t) ~expected ~base_oob ~strict_oob ~injec
 
 (* --- SIMT execution ----------------------------------------------------- *)
 
-let simt_options = { Technique.default_options with Technique.simt = true }
-
 (* Warp-uniform equivalence: the Pressure and Barrier families never read
    [%laneid], so every lane of a warp follows one path and the SIMT model
    must reproduce the warp-uniform run bit-for-bit — counters, stall
    histogram and store traces. This is the fuzz-side enforcement of the
    two-execution-models contract. *)
-let simt_equiv_failures (case : Gen.t) ~base =
-  match
-    Runner.execute ~options:simt_options ~record_stores:true ~max_cycles arch0
-      Technique.Baseline (Gen.kernel case)
-  with
+let simt_equiv_failures ts ~base =
+  match execute ts ~simt:true Technique.Baseline with
   | run -> (
       match
         diff_stats ~sides:("simt", "uniform") ~label:"baseline uniform-vs-simt"
@@ -557,14 +574,10 @@ let pp_violations =
    store traces are the reference; every value-safe technique must
    reproduce them lane-for-lane (and the warp-level traces too), and the
    fast-forward contract must hold under SIMT for the heuristic path. *)
-let simt_divergent_failures (case : Gen.t) =
-  let kern = Gen.kernel case in
+let simt_divergent_failures ts =
   let failures = ref [] in
   let fail kind detail = failures := { kind; detail } :: !failures in
-  (match
-     Runner.execute ~options:simt_options ~record_stores:true ~max_cycles arch0
-       Technique.Baseline kern
-   with
+  (match execute ts ~simt:true Technique.Baseline with
   | exception Gpu.Deadlock d ->
       fail Deadlock (Format.asprintf "baseline --simt: %a" Gpu.pp_deadlock d)
   | base_run ->
@@ -578,10 +591,7 @@ let simt_divergent_failures (case : Gen.t) =
         List.iter
           (fun tech ->
             let name = Technique.name tech ^ " --simt" in
-            match
-              Runner.execute ~options:simt_options ~record_stores:true
-                ~max_cycles arch0 tech kern
-            with
+            match execute ts ~simt:true tech with
             | run ->
                 let stats = run.Runner.stats in
                 if stats.Stats.timed_out then
@@ -614,10 +624,8 @@ let simt_divergent_failures (case : Gen.t) =
           (fun tech ->
             let name = Technique.name tech ^ " --simt (heuristic)" in
             match
-              ( Runner.execute ~options:simt_options ~record_stores:true
-                  ~max_cycles arch0 tech kern,
-                Runner.execute ~options:simt_options ~record_stores:true
-                  ~max_cycles ~fast_forward:false arch0 tech kern )
+              ( execute ts ~simt:true tech,
+                execute ts ~simt:true ~fast_forward:false tech )
             with
             | ff, bf -> (
                 match
@@ -640,11 +648,9 @@ let simt_divergent_failures (case : Gen.t) =
    granularity (lane 0 leads every instruction) — only the lane-resolved
    oracle can catch it, which is exactly the strictly-stronger property
    this injection validates. *)
-let mask_corrupt_failures (case : Gen.t) =
-  let kern = Gen.kernel case in
+let mask_corrupt_failures (case : Gen.t) ts =
   let run ?corrupt_mask () =
-    Runner.execute ~options:simt_options ?corrupt_mask ~record_stores:true
-      ~max_cycles arch0 Technique.Baseline kern
+    execute ts ~simt:true ?corrupt_mask Technique.Baseline
   in
   match (run (), run ~corrupt_mask:2 ()) with
   | exception Gpu.Deadlock d ->
@@ -714,6 +720,7 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
         else
           let expected = Stats.store_traces base in
           let base_oob = base.Stats.shared_oob in
+          let ts = techniques case in
           let strict_oob = strict_shared_oob in
           let split () =
             Telemetry.Profile.time forced_split_phase (fun () ->
@@ -727,8 +734,8 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
           let simt () =
             Telemetry.Profile.time simt_phase (fun () ->
                 match case.Gen.family with
-                | Gen.Divergent -> simt_divergent_failures case
-                | Gen.Pressure | Gen.Barrier -> simt_equiv_failures case ~base)
+                | Gen.Divergent -> simt_divergent_failures ts
+                | Gen.Pressure | Gen.Barrier -> simt_equiv_failures ts ~base)
           in
           let failures, injected =
             (* With a fault requested only the branch carrying the mutation
@@ -739,7 +746,7 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
             | Some (Drop_acquire | Early_release | Drop_mov) -> split ()
             | Some Mask_corrupt ->
                 ( Telemetry.Profile.time simt_phase (fun () ->
-                      mask_corrupt_failures case),
+                      mask_corrupt_failures case ts),
                   true )
             | None ->
                 let split_failures, _ = split () in
@@ -747,7 +754,7 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
                 ( Telemetry.Profile.time roundtrip_phase (fun () ->
                       roundtrip_failures prog)
                   @ Telemetry.Profile.time techniques_phase (fun () ->
-                        technique_failures case ~expected ~base_oob ~strict_oob)
+                        technique_failures ts ~expected ~base_oob ~strict_oob)
                   @ split_failures @ regdem_failures @ simt (),
                   false )
           in

@@ -98,23 +98,22 @@ let shared_index ctx addr =
     ctx.stats.Stats.shared_oob <- ctx.stats.Stats.shared_oob + 1;
   ((addr mod words) + words) mod words
 
-(* Non-counting variants used by the per-lane path: lane accesses report
-   out-of-bounds through [oob] so the instruction as a whole bumps
-   [shared_oob] at most once — exactly the count a warp-uniform program
-   produces in the warp-uniform model. *)
-let shared_index_flag ctx oob addr =
+(* Non-counting variants used by the per-lane path. They return the
+   wrapped index, or its complement [lnot index] (negative) for an
+   out-of-bounds access, so the instruction as a whole bumps [shared_oob]
+   at most once — exactly the count a warp-uniform program produces in
+   the warp-uniform model — without a flag cell per access. *)
+let shared_index_flag ctx addr =
   let words = Array.length ctx.shared - ctx.spill_words in
-  if addr < 0 || addr >= words then oob := true;
-  ((addr mod words) + words) mod words
+  let index = ((addr mod words) + words) mod words in
+  if addr < 0 || addr >= words then lnot index else index
 
-let spill_index_flag ctx oob rel =
+let spill_index_flag ctx rel =
   if ctx.spill_words > 0 && rel >= 0 && rel < ctx.spill_words then
     Array.length ctx.shared - ctx.spill_words + rel
-  else begin
-    oob := true;
+  else
     let words = Array.length ctx.shared in
-    ((rel mod words) + words) mod words
-  end
+    lnot (((rel mod words) + words) mod words)
 
 (* Spill accesses address the reserved window relative to its base. Any
    access outside the window — including a spill instruction executing
@@ -245,46 +244,69 @@ let branch_taken ctx instr ~mask =
   | Instr.Jump_ifz (c, _) -> lanes_taken ctx c ~mask ~if_zero:true
   | _ -> 0
 
-(* Evaluate one instruction for every lane in [mask]. Counter discipline:
-   register-port and shared/spill traffic counters advance once per
-   instruction (the same totals the warp-uniform model produces for the
-   same dynamic instruction stream), and [shared_oob] is clamped to at
-   most one bump per instruction. The architectural (warp-level) store
-   trace records the lowest active lane, which for a warp-uniform program
-   is bit-identical to the uniform trace; the full lane-resolved trace is
-   recorded separately per lane. *)
+(* Index of a per-lane shared or spill access, encoded as by
+   [shared_index_flag]. *)
+let lane_index ctx space addr =
+  match space with
+  | Instr.Spill -> spill_index_flag ctx addr
+  | Instr.Shared | Instr.Global -> shared_index_flag ctx addr
+
+(* Evaluate one instruction for every lane in [mask], in ascending lane
+   order. Counter discipline: register-port and shared/spill traffic
+   counters advance once per instruction (the same totals the
+   warp-uniform model produces for the same dynamic instruction stream),
+   and [shared_oob] is clamped to at most one bump per instruction. The
+   architectural (warp-level) store trace records the lowest active lane,
+   which for a warp-uniform program is bit-identical to the uniform
+   trace; the full lane-resolved trace is recorded separately per lane.
+   The lane loops are plain [for]s: nothing is allocated per instruction
+   or lane (the [oob]/[leader] cells never escape, so they stay in
+   registers). *)
 let step_simt ctx instr ~mask =
   count_rf ctx instr;
   let n = ctx.n_regs in
-  let set lane d value = ctx.lane_regs.((lane * n) + d) <- value in
-  let each f =
-    for lane = 0 to ctx.lanes - 1 do
-      if mask land (1 lsl lane) <> 0 then f lane
-    done
-  in
+  let regs = ctx.lane_regs in
   match instr with
   | Instr.Bin (op, d, a, b) ->
-      each (fun l -> set l d (binop op (lane_operand ctx l a) (lane_operand ctx l b)));
+      for l = 0 to ctx.lanes - 1 do
+        if mask land (1 lsl l) <> 0 then
+          regs.((l * n) + d) <-
+            binop op (lane_operand ctx l a) (lane_operand ctx l b)
+      done;
       Fall
   | Instr.Un (op, d, a) ->
-      each (fun l -> set l d (unop op (lane_operand ctx l a)));
+      for l = 0 to ctx.lanes - 1 do
+        if mask land (1 lsl l) <> 0 then
+          regs.((l * n) + d) <- unop op (lane_operand ctx l a)
+      done;
       Fall
   | Instr.Mad (d, a, b, c) ->
-      each (fun l ->
-          set l d
-            ((lane_operand ctx l a * lane_operand ctx l b) + lane_operand ctx l c));
+      for l = 0 to ctx.lanes - 1 do
+        if mask land (1 lsl l) <> 0 then
+          regs.((l * n) + d) <-
+            (lane_operand ctx l a * lane_operand ctx l b) + lane_operand ctx l c
+      done;
       Fall
   | Instr.Mov (d, a) ->
-      each (fun l -> set l d (lane_operand ctx l a));
+      for l = 0 to ctx.lanes - 1 do
+        if mask land (1 lsl l) <> 0 then
+          regs.((l * n) + d) <- lane_operand ctx l a
+      done;
       Fall
   | Instr.Cmp (op, d, a, b) ->
-      each (fun l -> set l d (cmpop op (lane_operand ctx l a) (lane_operand ctx l b)));
+      for l = 0 to ctx.lanes - 1 do
+        if mask land (1 lsl l) <> 0 then
+          regs.((l * n) + d) <-
+            cmpop op (lane_operand ctx l a) (lane_operand ctx l b)
+      done;
       Fall
   | Instr.Sel (d, c, a, b) ->
-      each (fun l ->
-          set l d
+      for l = 0 to ctx.lanes - 1 do
+        if mask land (1 lsl l) <> 0 then
+          regs.((l * n) + d) <-
             (if lane_operand ctx l c <> 0 then lane_operand ctx l a
-             else lane_operand ctx l b));
+             else lane_operand ctx l b)
+      done;
       Fall
   | Instr.Load (space, d, addr, ofs) ->
       (match space with
@@ -294,15 +316,21 @@ let step_simt ctx instr ~mask =
       | Instr.Spill ->
           ctx.stats.Stats.fill_loads <- ctx.stats.Stats.fill_loads + 1);
       let oob = ref false in
-      each (fun l ->
+      for l = 0 to ctx.lanes - 1 do
+        if mask land (1 lsl l) <> 0 then begin
           let a = lane_operand ctx l addr + ofs in
-          let v =
-            match space with
+          regs.((l * n) + d) <-
+            (match space with
             | Instr.Global -> Memory.read_global ctx.memory a
-            | Instr.Shared -> ctx.shared.(shared_index_flag ctx oob a)
-            | Instr.Spill -> ctx.shared.(spill_index_flag ctx oob a)
-          in
-          set l d v);
+            | Instr.Shared | Instr.Spill ->
+                let i = lane_index ctx space a in
+                if i >= 0 then ctx.shared.(i)
+                else begin
+                  oob := true;
+                  ctx.shared.(lnot i)
+                end)
+        end
+      done;
       if !oob then ctx.stats.Stats.shared_oob <- ctx.stats.Stats.shared_oob + 1;
       Fall
   | Instr.Store (space, addr, value, ofs) ->
@@ -312,14 +340,16 @@ let step_simt ctx instr ~mask =
           ctx.stats.Stats.shared_writes <- ctx.stats.Stats.shared_writes + 1
       | Instr.Spill ->
           ctx.stats.Stats.spill_stores <- ctx.stats.Stats.spill_stores + 1);
+      let record = ctx.record_stores && space <> Instr.Spill in
       let oob = ref false in
-      let leader = ref (-1) in
-      each (fun l ->
+      let leader = ref true in
+      for l = 0 to ctx.lanes - 1 do
+        if mask land (1 lsl l) <> 0 then begin
           let a = lane_operand ctx l addr + ofs in
           let v = lane_operand ctx l value in
-          if ctx.record_stores && space <> Instr.Spill then begin
-            if !leader < 0 then begin
-              leader := l;
+          if record then begin
+            if !leader then begin
+              leader := false;
               Stats.record_store ctx.stats ~cta:ctx.ctaid ~warp:ctx.warp_id space a v
             end;
             Stats.record_lane_store ctx.stats ~cta:ctx.ctaid ~warp:ctx.warp_id
@@ -327,8 +357,15 @@ let step_simt ctx instr ~mask =
           end;
           match space with
           | Instr.Global -> Memory.write_global ctx.memory a v
-          | Instr.Shared -> ctx.shared.(shared_index_flag ctx oob a) <- v
-          | Instr.Spill -> ctx.shared.(spill_index_flag ctx oob a) <- v);
+          | Instr.Shared | Instr.Spill ->
+              let i = lane_index ctx space a in
+              if i >= 0 then ctx.shared.(i) <- v
+              else begin
+                oob := true;
+                ctx.shared.(lnot i) <- v
+              end
+        end
+      done;
       if !oob then ctx.stats.Stats.shared_oob <- ctx.stats.Stats.shared_oob + 1;
       Fall
   | Instr.Jump _ -> Branch

@@ -137,6 +137,31 @@ let warn_dropped config =
         (Telemetry.Trace.capacity sink.Telemetry.Sink.trace)
   | Some _ | None -> ()
 
+(* The diagnostic of a machine frozen at [cycle] with no wakeup. *)
+let deadlock_info sms ~cycle ~grid ~next_cta ~retired =
+  {
+    dl_cycle = cycle;
+    dl_pending_ctas = grid - next_cta;
+    dl_grid_ctas = grid;
+    dl_retired = retired;
+    dl_sms =
+      Array.to_list
+        (Array.mapi
+           (fun i sm ->
+             let in_use, sections =
+               match Sm.srp_invariant sm with
+               | Some (Ok (u, _, total)) -> (u, total)
+               | Some (Error _) | None -> (Sm.srp_in_use sm, Sm.srp_sections sm)
+             in
+             {
+               dl_sm = i;
+               dl_srp_in_use = in_use;
+               dl_srp_sections = sections;
+               dl_warps = Sm.diagnose sm ~cycle;
+             })
+           sms);
+  }
+
 let run ?observe ?(observe_every = 1) config kernel =
   if observe_every < 1 then invalid_arg "Gpu.run: observe_every must be >= 1";
   let stats = Stats.create () in
@@ -166,8 +191,13 @@ let run ?observe ?(observe_every = 1) config kernel =
      retire bumps [ctas_retired]) instead of re-folding over the SMs each
      cycle. *)
   let retired () = stats.Stats.ctas_retired in
-  (* Per-SM idle reason of the current frozen cycle, reused across them. *)
+  (* Per-SM idle reasons and the wakeup of the current frozen episode. A
+     cycle frozen with wakeup W stays frozen with wakeup W up to W (the
+     premise of the fast-forward jump), so [idle_summary] runs once per
+     episode: brute-force stepping and observer-clamped jumps revisit
+     the episode's cycles without recomputing it. *)
   let reasons = Array.make n_sms Stats.Stall_empty in
+  let episode_wake = ref 0 in
   while retired () < grid && !cycle < config.max_cycles do
     (* CTA dispatch: at most one launch per SM per cycle, round robin over
        SMs so early SMs do not monopolise the grid. The per-SM loops are
@@ -216,45 +246,31 @@ let run ?observe ?(observe_every = 1) config kernel =
       && retired () < grid
       && not (!next_cta < grid && Array.exists Sm.can_launch sms)
     in
-    if frozen then begin
-      let wake = ref max_int in
-      for i = 0 to n_sms - 1 do
-        let sm = sms.(i) in
-        if Sm.resident_warps sm > 0 then begin
-          let reason, sm_wake = Sm.idle_summary sm ~cycle:!cycle in
-          reasons.(i) <- reason;
-          if sm_wake < !wake then wake := sm_wake
-        end
-        else reasons.(i) <- Stats.Stall_empty
-      done;
-      if !wake = max_int then
-        raise
-          (Deadlock
-             {
-               dl_cycle = !cycle;
-               dl_pending_ctas = grid - !next_cta;
-               dl_grid_ctas = grid;
-               dl_retired = retired ();
-               dl_sms =
-                 Array.to_list
-                   (Array.mapi
-                      (fun i sm ->
-                        let in_use, sections =
-                          match Sm.srp_invariant sm with
-                          | Some (Ok (u, _, total)) -> (u, total)
-                          | Some (Error _) | None ->
-                              (Sm.srp_in_use sm, Sm.srp_sections sm)
-                        in
-                        {
-                          dl_sm = i;
-                          dl_srp_in_use = in_use;
-                          dl_srp_sections = sections;
-                          dl_warps = Sm.diagnose sm ~cycle:!cycle;
-                        })
-                      sms);
-             });
+    if not frozen then begin
+      episode_wake := 0;
+      cycle := next
+    end
+    else begin
+      if !cycle >= !episode_wake then begin
+        let wake = ref max_int in
+        for i = 0 to n_sms - 1 do
+          let sm = sms.(i) in
+          if Sm.resident_warps sm > 0 then begin
+            let reason, sm_wake = Sm.idle_summary sm ~cycle:!cycle in
+            reasons.(i) <- reason;
+            if sm_wake < !wake then wake := sm_wake
+          end
+          else reasons.(i) <- Stats.Stall_empty
+        done;
+        if !wake = max_int then
+          raise
+            (Deadlock
+               (deadlock_info sms ~cycle:!cycle ~grid ~next_cta:!next_cta
+                  ~retired:(retired ())));
+        episode_wake := !wake
+      end;
       if config.fast_forward then begin
-        let wake = min !wake config.max_cycles in
+        let wake = min !episode_wake config.max_cycles in
         let wake =
           match observe with
           | Some _ -> min wake (((!cycle / observe_every) + 1) * observe_every)
@@ -280,7 +296,6 @@ let run ?observe ?(observe_every = 1) config kernel =
       end
       else cycle := next
     end
-    else cycle := next
   done;
   stats.Stats.cycles <- !cycle;
   stats.Stats.timed_out <- retired () < grid;
@@ -292,17 +307,9 @@ let run ?observe ?(observe_every = 1) config kernel =
   warn_dropped config;
   stats
 
-let probe config kernel =
-  let stats = Stats.create () in
-  let memory = Memory.create () in
-  let mem_sys =
-    Mem_system.create config.arch ~n_sms:config.arch.Gpu_uarch.Arch_config.n_sms
-  in
-  Sm.create config.arch ~sm_id:0 ~policy:config.policy ~kernel ~memory ~mem_sys
-    ~stats ~record_stores:false ~trace_warp0:false
-
 let theoretical_warps config kernel =
-  let sm = probe config kernel in
-  Sm.cta_capacity sm * Kernel.warps_per_cta config.arch kernel
+  Sm.cta_capacity_for config.arch ~policy:config.policy ~kernel
+  * Kernel.warps_per_cta config.arch kernel
 
-let srp_sections_of config kernel = Sm.srp_sections (probe config kernel)
+let srp_sections_of config kernel =
+  Sm.srp_sections_for config.arch ~policy:config.policy ~kernel

@@ -1,6 +1,21 @@
-type t = { global : (int, int) Hashtbl.t }
+(* Global memory is keyed by masked addresses. A table specialised to
+   int keys hashes and compares without the polymorphic primitives, which
+   a per-lane (--simt) load or store pays once per lane. *)
+module Table = Hashtbl.Make (struct
+  type t = int
 
-let create () = { global = Hashtbl.create 4096 }
+  let equal (a : int) b = a = b
+
+  (* Multiplicative mixing with an xor-shift fold, so consecutive
+     addresses spread over the low bits that pick a bucket. *)
+  let hash a =
+    let h = a * 0x1E3779B97F4A7C15 in
+    (h lxor (h lsr 32)) land max_int
+end)
+
+type t = { global : int Table.t }
+
+let create () = { global = Table.create 4096 }
 
 let mask addr = addr land 0x3fffffff
 
@@ -16,14 +31,14 @@ let default_value addr =
    [Not_found] instead of the hit path allocating an option. *)
 let read_global t addr =
   let addr = mask addr in
-  match Hashtbl.find t.global addr with
+  match Table.find t.global addr with
   | v -> v
   | exception Not_found -> default_value addr
 
-let write_global t addr v = Hashtbl.replace t.global (mask addr) v
+let write_global t addr v = Table.replace t.global (mask addr) v
 
-let footprint t = Hashtbl.length t.global
+let footprint t = Table.length t.global
 
 let written t =
-  Hashtbl.fold (fun addr v acc -> (addr, v) :: acc) t.global []
+  Table.fold (fun addr v acc -> (addr, v) :: acc) t.global []
   |> List.sort compare

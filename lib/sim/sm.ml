@@ -87,7 +87,9 @@ type t = {
      only the values (and the lane occupancy statistics) are resolved per
      lane, so a warp-uniform program is bit-identical in both models. *)
   simt : bool;
-  reconv : int array;       (* per-pc reconvergence table ([||] unless simt) *)
+  mutable reconv : int array;
+      (* per-pc reconvergence table, built at the first divergent branch
+         ([||] until then: a warp-uniform program never needs it) *)
   reconv_sentinel : int;    (* program length: the never-reached top rpc *)
   full_mask : int;          (* (1 lsl warp_size) - 1 when simt, else 0 *)
   corrupt_mask : int;       (* lanes cleared at launch (fuzz self-test) *)
@@ -120,6 +122,21 @@ let cta_capacity_for cfg ~policy ~kernel =
   let capacity, _, _ = compute_capacity cfg policy kernel in
   capacity
 
+(* Extended-set sections per SM: under RegMutex the register file left
+   over by the resident CTAs' base sets, in |Es|-sized sections; under
+   paired warps and OWF one per warp pair; none otherwise. *)
+let sections_of (cfg : Arch_config.t) policy (cta_capacity, wpc, regs_cta) =
+  match policy with
+  | Policy.Static _ | Policy.Regdem _ | Policy.Rfv _ -> 0
+  | Policy.Srp { es; _ } ->
+      let leftover = cfg.regfile_regs - (cta_capacity * regs_cta) in
+      if es <= 0 then 0
+      else min cfg.max_warps (max 0 (leftover / (es * cfg.warp_size)))
+  | Policy.Srp_paired _ | Policy.Owf _ -> cta_capacity * wpc / 2
+
+let srp_sections_for cfg ~policy ~kernel =
+  sections_of cfg policy (compute_capacity cfg policy kernel)
+
 (* Call sites test [t.tracing] first, so an untraced run never builds the
    event payload. *)
 let emit t ~cycle event =
@@ -137,6 +154,11 @@ type block_reason =
   | Blocked_regs
   | Blocked_barrier
   | Blocked_done
+
+(* Reconvergence pc of the divergent branch at [pc]. *)
+let reconv_pc t pc =
+  if Array.length t.reconv = 0 then t.reconv <- Reconv.table t.kernel.Kernel.program;
+  t.reconv.(pc)
 
 (* RFV: the next instruction's demand, given this instruction's outcome.
    Branch conditions are evaluated without side effects. Under SIMT the
@@ -165,10 +187,10 @@ let rfv_peek_next t ~slot instr =
         if taken = 0 || tgt = pc + 1 then Soa.simt_peek_next soa ~slot (pc + 1)
         else if taken = mask then Soa.simt_peek_next soa ~slot tgt
         else
-          let rpc = t.reconv.(pc) in
+          let rpc = reconv_pc t pc in
           if pc + 1 = rpc then tgt else pc + 1
     | Instr.Exit -> (
-        match Soa.simt_peek_exit soa ~slot with Some next -> next | None -> pc)
+        match Soa.simt_peek_exit soa ~slot with -1 -> pc | next -> next)
     | _ -> Soa.simt_peek_next soa ~slot (pc + 1)
 
 (* Forward-progress anchor for RFV: the oldest warp that could actually
@@ -306,7 +328,9 @@ let with_can_issue t =
 
 let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     ~policy ~kernel ~memory ~mem_sys ~stats ~record_stores ~trace_warp0 =
-  let cta_capacity, wpc, regs_cta = compute_capacity cfg policy kernel in
+  let capacity = compute_capacity cfg policy kernel in
+  let cta_capacity, wpc, _ = capacity in
+  let srp_sections = sections_of cfg policy capacity in
   let prog = kernel.Kernel.program in
   let n = Program.length prog in
   let instrs = Array.init n (Program.get prog) in
@@ -317,30 +341,25 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     | Policy.Owf { bs; es } -> (bs, es, false)
     | Policy.Static _ | Policy.Rfv _ | Policy.Regdem _ -> (max_int, 0, false)
   in
-  let srp_sections, pstate =
+  let pstate =
     match policy with
     (* Regdem is static allocation of the reduced register count; the
        spill machinery lives entirely in the program and the execution
        contexts, so the policy state machine is the stock one. *)
-    | Policy.Static _ | Policy.Regdem _ -> (0, Ps_static)
-    | Policy.Srp { es; _ } ->
-        let leftover = cfg.regfile_regs - (cta_capacity * regs_cta) in
-        let sections =
-          if es <= 0 then 0
-          else min cfg.max_warps (max 0 (leftover / (es * cfg.warp_size)))
-        in
-        (sections, Ps_srp (Srp.create ~n_warps:cfg.max_warps ~sections))
+    | Policy.Static _ | Policy.Regdem _ -> Ps_static
+    | Policy.Srp _ ->
+        Ps_srp (Srp.create ~n_warps:cfg.max_warps ~sections:srp_sections)
     | Policy.Srp_paired _ ->
         if wpc mod 2 <> 0 then
           invalid_arg "Sm.create: paired-warps policy requires an even warp count per CTA";
-        let pairs = cta_capacity * wpc / 2 in
-        (pairs, Ps_paired (Srp_paired.create ~n_warps:cfg.max_warps ~enabled_pairs:pairs))
+        Ps_paired
+          (Srp_paired.create ~n_warps:cfg.max_warps ~enabled_pairs:srp_sections)
     | Policy.Owf _ ->
         if wpc mod 2 <> 0 then
           invalid_arg "Sm.create: OWF policy requires an even warp count per CTA";
-        (cta_capacity * wpc / 2, Ps_owf)
+        Ps_owf
     | Policy.Rfv _ ->
-        (0, Ps_rfv { used = 0; capacity = cfg.regfile_regs / cfg.warp_size })
+        Ps_rfv { used = 0; capacity = cfg.regfile_regs / cfg.warp_size }
   in
   let latency =
     Array.map
@@ -479,7 +498,7 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     record_stores;
     trace_warp0;
     simt;
-    reconv = (if simt then Reconv.table prog else [||]);
+    reconv = [||];
     reconv_sentinel = n;
     full_mask = (if simt then (1 lsl cfg.warp_size) - 1 else 0);
     corrupt_mask;
@@ -919,7 +938,7 @@ let issue t ~slot ~cycle =
           in
           t.stats.Stats.divergent_branches <-
             t.stats.Stats.divergent_branches + 1;
-          Soa.simt_diverge soa ~slot ~tgt ~taken ~rpc:t.reconv.(pc);
+          Soa.simt_diverge soa ~slot ~tgt ~taken ~rpc:(reconv_pc t pc);
           advance t ~slot ~next:(Soa.simt_next soa ~slot (pc + 1))
         end
     | Exec.Fall -> advance t ~slot ~next:(route t ~slot (pc + 1))
@@ -927,8 +946,8 @@ let issue t ~slot ~cycle =
     | Exec.Halt ->
         if t.simt then (
           match Soa.simt_exit soa ~slot with
-          | None -> warp_done t ~cycle ~slot cta
-          | Some next -> advance t ~slot ~next)
+          | -1 -> warp_done t ~cycle ~slot cta
+          | next -> advance t ~slot ~next)
         else warp_done t ~cycle ~slot cta
     | Exec.Barrier ->
         soa.Soa.status.(slot) <- Soa.st_barrier;

@@ -44,6 +44,11 @@ val cta_capacity_for :
 (** Usable SRP sections (0 for non-SRP policies). *)
 val srp_sections : t -> int
 
+(** [srp_sections_for cfg ~policy ~kernel] — {!srp_sections} of the SM
+    {!create} would build, without building it. *)
+val srp_sections_for :
+  Gpu_uarch.Arch_config.t -> policy:Policy.t -> kernel:Kernel.t -> int
+
 val resident_ctas : t -> int
 val resident_warps : t -> int
 val retired_ctas : t -> int

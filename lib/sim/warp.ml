@@ -11,7 +11,8 @@ module Soa = struct
      the triple (pc.(slot), active.(slot), rpc.(slot)); suspended arms and
      reconvergence continuations live on the stack, deepest scope first.
      Stacks grow by doubling — a divergent loop pushes one continuation
-     per diverging iteration. *)
+     per diverging iteration; they start empty, so a warp-uniform
+     program never allocates them. *)
   type simt = {
     lanes : int;
     full_mask : int;
@@ -62,9 +63,9 @@ module Soa = struct
               lane_regs = Array.init n_slots (fun _ -> Array.make (lanes * n_regs) 0);
               active = Array.make n_slots 0;
               rpc = Array.make n_slots 0;
-              stk_pc = Array.init n_slots (fun _ -> Array.make 8 0);
-              stk_rpc = Array.init n_slots (fun _ -> Array.make 8 0);
-              stk_mask = Array.init n_slots (fun _ -> Array.make 8 0);
+              stk_pc = Array.make n_slots [||];
+              stk_rpc = Array.make n_slots [||];
+              stk_mask = Array.make n_slots [||];
               stk_depth = Array.make n_slots 0;
             }
     in
@@ -155,7 +156,7 @@ module Soa = struct
     let cap = Array.length s.stk_pc.(slot) in
     if d = cap then begin
       let grow a =
-        let b = Array.make (2 * cap) 0 in
+        let b = Array.make (max 8 (2 * cap)) 0 in
         Array.blit a 0 b 0 cap;
         b
       in
@@ -199,31 +200,29 @@ module Soa = struct
 
   (* [Exit] under the current mask: the active lanes terminate and vanish
      from every suspended mask (a lane exits in exactly one arm). Returns
-     the pc where the surviving lanes resume, or [None] when the whole
-     warp is done. Entries whose mask emptied are discarded; because a
+     the pc where the surviving lanes resume, or [-1] when the whole warp
+     is done. Entries whose mask emptied are discarded; because a
      continuation's mask is a superset of the arms above it, empty masks
      only ever sit at the top of the stack. *)
   let simt_exit t ~slot =
     let s = simt_get t in
     let dying = s.active.(slot) in
+    let masks = s.stk_mask.(slot) in
     for d = 0 to s.stk_depth.(slot) - 1 do
-      s.stk_mask.(slot).(d) <- s.stk_mask.(slot).(d) land lnot dying
+      masks.(d) <- masks.(d) land lnot dying
     done;
     s.active.(slot) <- 0;
-    let rec resume () =
-      if s.stk_depth.(slot) = 0 then None
-      else begin
-        let d = s.stk_depth.(slot) - 1 in
-        s.stk_depth.(slot) <- d;
-        if s.stk_mask.(slot).(d) = 0 then resume ()
-        else begin
-          s.active.(slot) <- s.stk_mask.(slot).(d);
-          s.rpc.(slot) <- s.stk_rpc.(slot).(d);
-          Some (simt_next t ~slot s.stk_pc.(slot).(d))
-        end
-      end
-    in
-    resume ()
+    while s.stk_depth.(slot) > 0 && masks.(s.stk_depth.(slot) - 1) = 0 do
+      s.stk_depth.(slot) <- s.stk_depth.(slot) - 1
+    done;
+    if s.stk_depth.(slot) = 0 then -1
+    else begin
+      let d = s.stk_depth.(slot) - 1 in
+      s.stk_depth.(slot) <- d;
+      s.active.(slot) <- masks.(d);
+      s.rpc.(slot) <- s.stk_rpc.(slot).(d);
+      simt_next t ~slot s.stk_pc.(slot).(d)
+    end
 
   (* Pure variants for scheduler peeks (the RFV next-pc probe): what
      {!simt_next} / {!simt_exit} would return, without mutating. *)
@@ -241,21 +240,21 @@ module Soa = struct
   let simt_peek_exit t ~slot =
     let s = simt_get t in
     let dying = s.active.(slot) in
-    let rec scan d =
-      if d < 0 then None
-      else if s.stk_mask.(slot).(d) land lnot dying = 0 then scan (d - 1)
-      else begin
-        let next = ref s.stk_pc.(slot).(d) and rpc = ref s.stk_rpc.(slot).(d) in
-        let i = ref (d - 1) in
-        while !i >= 0 && !next = !rpc do
-          next := s.stk_pc.(slot).(!i);
-          rpc := s.stk_rpc.(slot).(!i);
-          decr i
-        done;
-        Some !next
-      end
-    in
-    scan (s.stk_depth.(slot) - 1)
+    let d = ref (s.stk_depth.(slot) - 1) in
+    while !d >= 0 && s.stk_mask.(slot).(!d) land lnot dying = 0 do
+      decr d
+    done;
+    if !d < 0 then -1
+    else begin
+      let next = ref s.stk_pc.(slot).(!d) and rpc = ref s.stk_rpc.(slot).(!d) in
+      let i = ref (!d - 1) in
+      while !i >= 0 && !next = !rpc do
+        next := s.stk_pc.(slot).(!i);
+        rpc := s.stk_rpc.(slot).(!i);
+        decr i
+      done;
+      !next
+    end
 end
 
 type view = {

@@ -147,15 +147,16 @@ module Soa : sig
   val simt_next : t -> slot:int -> int -> int
 
   (** [Exit] under the current mask: active lanes terminate and are
-      cleared from every suspended mask. [Some pc] resumes the surviving
-      lanes; [None] means every lane has exited (the warp is done). *)
-  val simt_exit : t -> slot:int -> int option
+      cleared from every suspended mask. Returns the pc where the
+      surviving lanes resume, or [-1] when every lane has exited (the warp
+      is done). *)
+  val simt_exit : t -> slot:int -> int
 
   (** Pure peek variants of {!simt_next} / {!simt_exit} for scheduler
       probes (no mutation). *)
   val simt_peek_next : t -> slot:int -> int -> int
 
-  val simt_peek_exit : t -> slot:int -> int option
+  val simt_peek_exit : t -> slot:int -> int
 end
 
 (** Thin identity record for probe/diagnostic paths. *)

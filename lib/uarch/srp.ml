@@ -61,19 +61,30 @@ let reset_warp t ~warp = match release_section t ~warp with -1 -> None | s -> So
 (* Independent cross-check of the three redundant structures: every held
    warp must map (via the lut) to a distinct acquired section, and the two
    popcounts must agree. Walks the raw bits rather than trusting any of the
-   accessor invariants above. *)
+   accessor invariants above. Sections are below the 61-bit mask width, so
+   an int records the ones seen: the check allocates nothing, which
+   matters to the fuzz oracle calling it on every simulated cycle. *)
 let consistent t =
   let n_warps = Bitmask.width t.status in
-  let holders = ref [] in
-  for w = n_warps - 1 downto 0 do
-    if Bitmask.test t.status w then holders := t.lut.(w) :: !holders
+  let sections = Bitmask.valid t.srp in
+  let seen = ref 0 in
+  let ok = ref true in
+  let w = ref 0 in
+  while !ok && !w < n_warps do
+    if Bitmask.test t.status !w then begin
+      let s = t.lut.(!w) in
+      if
+        s < 0 || s >= sections
+        || !seen land (1 lsl s) <> 0
+        || not (Bitmask.test t.srp s)
+      then ok := false
+      else seen := !seen lor (1 lsl s)
+    end;
+    incr w
   done;
-  let sections = List.sort_uniq compare !holders in
-  List.length sections = List.length !holders
-  && List.for_all
-       (fun s -> s >= 0 && s < Bitmask.valid t.srp && Bitmask.test t.srp s)
-       sections
-  && Bitmask.popcount t.status = Bitmask.popcount t.srp
+  !ok && Bitmask.popcount t.status = Bitmask.popcount t.srp
+
+let raw t = (t.status, t.srp, t.lut)
 
 let pp ppf t =
   Format.fprintf ppf "srp=%a status=%a" Bitmask.pp t.srp Bitmask.pp t.status

@@ -62,4 +62,9 @@ val reset_warp : t -> warp:int -> int option
     drift). Walks the raw bitmasks rather than the accessors. *)
 val consistent : t -> bool
 
+(** [raw t] is [(status, srp, lut)]: the engine's own warp-status mask,
+    SRP mask and warp → section table, shared rather than copied. For
+    tests that corrupt the bookkeeping to exercise {!consistent}. *)
+val raw : t -> Bitmask.t * Bitmask.t * int array
+
 val pp : Format.formatter -> t -> unit

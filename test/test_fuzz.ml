@@ -100,14 +100,11 @@ let test_oracle_clean_sweep () =
       report.Fuzz.Oracle.failures
   done
 
-let test_deadlock_guard () =
-  (* An SRP with zero sections and a kernel that acquires: no warp can
-     ever issue again and no wakeup exists — the simulator must raise the
-     structured Deadlock, identically in both stepping modes. *)
-  let prog =
-    Program.create ~name:"dl"
-      [| Instr.Acquire; Instr.Mov (0, Instr.Imm 1); Instr.Release; Instr.Exit |]
-  in
+(* Runs [instrs] as one warp under an SRP with zero sections, where
+   every acquire stalls forever, and returns the cycle of the structured
+   [Deadlock], checked identical in both stepping modes. *)
+let deadlock_cycle instrs =
+  let prog = Program.create ~name:"dl" instrs in
   let arch =
     { Util.small_arch with Gpu_uarch.Arch_config.regfile_regs = 32; max_ctas = 1 }
   in
@@ -129,8 +126,35 @@ let test_deadlock_guard () =
           (info.Gpu_sim.Gpu.dl_sms <> []);
         info.Gpu_sim.Gpu.dl_cycle
   in
-  Alcotest.(check int) "same detection cycle in both modes" (cycle_of false)
-    (cycle_of true)
+  let cycle = cycle_of false in
+  Alcotest.(check int) "same detection cycle in both modes" cycle (cycle_of true);
+  cycle
+
+let test_deadlock_guard () =
+  (* No warp can ever issue again and no wakeup exists — the simulator
+     must raise the structured Deadlock, identically in both stepping
+     modes. *)
+  ignore
+    (deadlock_cycle
+       [| Instr.Acquire; Instr.Mov (0, Instr.Imm 1); Instr.Release; Instr.Exit |])
+
+let test_deadlock_after_frozen_episode () =
+  (* The add waits out the global load's latency, a frozen episode with a
+     finite wakeup; only the acquire after it deadlocks. Brute-force
+     stepping computes that wakeup once for the episode, so detection
+     must still land on the same cycle as under fast-forward. *)
+  let cycle =
+    deadlock_cycle
+      [| Instr.Load (Instr.Global, 0, Instr.Imm 0, 0);
+         Instr.Bin (Instr.Add, 0, Instr.Reg 0, Instr.Imm 1);
+         Instr.Acquire;
+         Instr.Release;
+         Instr.Exit |]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "deadlock at cycle %d, after the load's latency" cycle)
+    true
+    (cycle > Util.small_arch.Gpu_uarch.Arch_config.lat_global)
 
 let find_caught_injection fault ~max_seed =
   let rec go seed =
@@ -242,4 +266,6 @@ let suite =
       test_strict_oob_rule;
     Alcotest.test_case "drop-mov shrinks below 20 instructions" `Slow
       test_shrink_drop_mov;
-    Alcotest.test_case "corpus round-trip" `Quick test_corpus_roundtrip ]
+    Alcotest.test_case "corpus round-trip" `Quick test_corpus_roundtrip;
+    Alcotest.test_case "deadlock after a frozen episode" `Quick
+      test_deadlock_after_frozen_episode ]

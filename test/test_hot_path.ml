@@ -1,7 +1,7 @@
 (* Guards on the SM issue loop's shortcuts.
 
-   Allocation: a warp-uniform simulation allocates (almost) nothing per
-   issued instruction. The count is deterministic, so the bound is exact
+   Allocation: a simulation allocates (almost) nothing per issued
+   instruction, in the warp-uniform and the per-lane (--simt) model. The count is deterministic, so the bound is exact
    rather than timing-banded.
 
    Exactness: [Sm.classify_idle] (the early-exit idle attribution the
@@ -19,31 +19,37 @@ module Registry = Workloads.Registry
 
 let max_words_per_instr = 1.0
 
-let words_per_instr ~arch technique spec =
+let words_per_instr ?(simt = false) ~arch technique spec =
   let kernel = Exp_config.kernel_of Exp_config.quick spec in
   let prepared = Technique.prepare arch technique kernel in
-  let config = Gpu.default_config arch prepared.Technique.policy in
+  let config = { (Gpu.default_config arch prepared.Technique.policy) with Gpu.simt } in
   let w0 = Gc.minor_words () in
   let stats = Gpu.run config prepared.Technique.kernel in
   let w1 = Gc.minor_words () in
   (w1 -. w0) /. float_of_int (max 1 stats.Stats.instructions)
 
-let check_words ~arch technique spec label =
-  let w = words_per_instr ~arch technique spec in
+let check_words ?simt ~arch technique spec label =
+  let w = words_per_instr ?simt ~arch technique spec in
   if w > max_words_per_instr then
     Alcotest.failf "%s: %.3f minor words per issued instruction (bound %.1f)"
       label w max_words_per_instr
 
-let test_alloc_table1 () =
+let alloc_table1 ?simt () =
   List.iter
     (fun spec ->
       let arch = Exp_config.eval_arch Exp_config.quick spec in
       List.iter
         (fun technique ->
-          check_words ~arch technique spec
+          check_words ?simt ~arch technique spec
             (spec.Workloads.Spec.name ^ "/" ^ Technique.name technique))
         Technique.all)
     Registry.all
+
+let test_alloc_table1 () = alloc_table1 ()
+
+(* The per-lane model iterates the active mask with plain loops, so the
+   same bound holds under --simt. *)
+let test_alloc_table1_simt () = alloc_table1 ~simt:true ()
 
 let test_alloc_schedulers () =
   let spec = Registry.find "BFS" in
@@ -126,6 +132,8 @@ let test_classification_schedulers () =
 let suite =
   [ Alcotest.test_case "allocation per instruction (Table I)" `Quick
       test_alloc_table1;
+    Alcotest.test_case "allocation per instruction (Table I, --simt)" `Quick
+      test_alloc_table1_simt;
     Alcotest.test_case "allocation per instruction (LRR, two-level)" `Quick
       test_alloc_schedulers;
     Alcotest.test_case "classify_idle = idle_summary (policies)" `Quick

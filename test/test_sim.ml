@@ -146,6 +146,43 @@ let test_theoretical_warps () =
   let config = Gpu.default_config Gpu_uarch.Arch_config.gtx480 (Policy.Static { regs_per_thread = 24 }) in
   Alcotest.(check int) "5 CTAs x 8 warps" 40 (Gpu.theoretical_warps config kernel)
 
+(* [theoretical_warps] and [srp_sections_of] read the capacity and
+   section formulas without building an SM; they must answer what a
+   created SM reports, for every Table I kernel and technique on both
+   evaluation register files. *)
+let test_capacity_without_sm () =
+  let module Exp_config = Experiments.Exp_config in
+  let module Technique = Regmutex.Technique in
+  let cfg = Exp_config.quick in
+  List.iter
+    (fun spec ->
+      let kernel = Exp_config.kernel_of cfg spec in
+      List.iter
+        (fun (arch_name, arch) ->
+          List.iter
+            (fun technique ->
+              let prepared = Technique.prepare arch technique kernel in
+              let kernel = prepared.Technique.kernel in
+              let config = Gpu.default_config arch prepared.Technique.policy in
+              let sm =
+                Sm.create arch ~sm_id:0 ~policy:config.Gpu.policy ~kernel
+                  ~memory:(Memory.create ()) ~stats:(Stats.create ())
+                  ~mem_sys:(Mem_system.create arch ~n_sms:1)
+                  ~record_stores:false ~trace_warp0:false
+              in
+              let label what =
+                Printf.sprintf "%s/%s/%s: %s" spec.Workloads.Spec.name
+                  (Technique.name technique) arch_name what
+              in
+              Alcotest.(check int) (label "theoretical warps")
+                (Sm.cta_capacity sm * Kernel.warps_per_cta arch kernel)
+                (Gpu.theoretical_warps config kernel);
+              Alcotest.(check int) (label "SRP sections") (Sm.srp_sections sm)
+                (Gpu.srp_sections_of config kernel))
+            Technique.all)
+        [ ("arch", cfg.Exp_config.arch); ("half_arch", cfg.Exp_config.half_arch) ])
+    Workloads.Registry.all
+
 let suite =
   [ Alcotest.test_case "functional results" `Quick test_functional_result;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
@@ -156,4 +193,6 @@ let suite =
     Alcotest.test_case "multi-SM dispatch" `Quick test_multi_sm_dispatch;
     Alcotest.test_case "occupancy accounting" `Quick test_occupancy_accounting;
     Alcotest.test_case "per-warp instruction counts" `Quick test_per_warp_instruction_counts;
-    Alcotest.test_case "theoretical warps" `Quick test_theoretical_warps ]
+    Alcotest.test_case "theoretical warps" `Quick test_theoretical_warps;
+    Alcotest.test_case "capacity and sections without an SM" `Quick
+      test_capacity_without_sm ]

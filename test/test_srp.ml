@@ -127,6 +127,68 @@ let prop_srp_consistency =
       && List.length (List.sort_uniq compare sections) = List.length sections
       && Srp.free_sections srp = 7 - List.length sections)
 
+(* The list-based definition [Srp.consistent] had before it became an
+   allocation-free loop, kept as the reference: every held warp maps to a
+   distinct acquired section in range, and the popcounts agree. *)
+let reference_consistent srp =
+  let status, bits, lut = Srp.raw srp in
+  let holders = ref [] in
+  for w = Bitmask.width status - 1 downto 0 do
+    if Bitmask.test status w then holders := lut.(w) :: !holders
+  done;
+  let sections = List.sort_uniq compare !holders in
+  List.length sections = List.length !holders
+  && List.for_all
+       (fun s -> s >= 0 && s < Bitmask.valid bits && Bitmask.test bits s)
+       sections
+  && Bitmask.popcount status = Bitmask.popcount bits
+
+type op =
+  | Acquire of int
+  | Release of int
+  | Set_lut of int * int  (* corrupt: point a warp at any section *)
+  | Flip_status of int    (* corrupt: toggle a warp-status bit *)
+  | Flip_srp of int       (* corrupt: toggle a usable SRP bit *)
+
+(* Random grant/release sequences with occasional corruptions of the raw
+   bookkeeping, so both answers of the check are exercised; the two
+   definitions must agree after every step. *)
+let prop_consistent_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* n_warps = int_range 1 48 in
+      let* sections = int_range 1 (min n_warps 8) in
+      let warp = int_bound (n_warps - 1) in
+      let op =
+        frequency
+          [ (4, map (fun w -> Acquire w) warp);
+            (3, map (fun w -> Release w) warp);
+            (1, map2 (fun w s -> Set_lut (w, s)) warp (int_range (-1) (sections + 1)));
+            (1, map (fun w -> Flip_status w) warp);
+            (1, map (fun s -> Flip_srp s) (int_bound (sections - 1))) ]
+      in
+      let* ops = list_size (int_bound 40) op in
+      return (n_warps, sections, ops))
+  in
+  Util.qtest "consistent = list-based reference" gen (fun (n_warps, sections, ops) ->
+      let srp = Srp.create ~n_warps ~sections in
+      let status, bits, lut = Srp.raw srp in
+      let flip m i = if Bitmask.test m i then Bitmask.clear m i else Bitmask.set m i in
+      List.for_all
+        (fun op ->
+          (* On corrupted state an acquire or release may refuse with
+             [Invalid_argument]; the check must still agree afterwards. *)
+          (try
+             match op with
+             | Acquire w -> ignore (Srp.acquire srp ~warp:w)
+             | Release w -> ignore (Srp.release srp ~warp:w)
+             | Set_lut (w, s) -> lut.(w) <- s
+             | Flip_status w -> flip status w
+             | Flip_srp s -> flip bits s
+           with Invalid_argument _ -> ());
+          Srp.consistent srp = reference_consistent srp)
+        ops)
+
 let suite =
   [ Alcotest.test_case "acquire/release" `Quick test_acquire_release;
     Alcotest.test_case "idempotency" `Quick test_idempotency;
@@ -138,4 +200,5 @@ let suite =
     Alcotest.test_case "paired: idempotency" `Quick test_paired_idempotent;
     Alcotest.test_case "paired: disabled pairs" `Quick test_paired_disabled_pairs;
     Alcotest.test_case "paired: reset" `Quick test_paired_reset;
-    prop_srp_consistency ]
+    prop_srp_consistency;
+    prop_consistent_matches_reference ]
