@@ -25,22 +25,40 @@ let prepare ?options cfg technique kernel =
   Telemetry.Profile.time prepare_phase (fun () ->
       Technique.prepare ?options cfg technique kernel)
 
-let simulate ?(simt = false) ?(record_stores = false) ?(trace_warp0 = false)
+(* Every input [Gpu.run] reads, besides the kernel, in one record: both
+   [simulate] and [key] build it here, so the two cannot drift apart. *)
+let run_config ?(simt = false) ?(record_stores = false) ?(trace_warp0 = false)
     ?(max_cycles = 20_000_000) ?(fast_forward = true) ?(corrupt_mask = 0)
     ?telemetry cfg (prepared : Technique.prepared) =
+  {
+    Gpu.arch = cfg;
+    policy = prepared.Technique.policy;
+    record_stores;
+    trace_warp0;
+    max_cycles;
+    events = None;
+    telemetry;
+    fast_forward;
+    simt;
+    corrupt_mask;
+  }
+
+(* The simulator is deterministic and every input is pure data, so the
+   marshalled form of the sink-free config and the kernel identifies the
+   run's result. *)
+let key ?simt ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
+    ?corrupt_mask cfg (prepared : Technique.prepared) =
   let config =
-    {
-      Gpu.arch = cfg;
-      policy = prepared.Technique.policy;
-      record_stores;
-      trace_warp0;
-      max_cycles;
-      events = None;
-      telemetry;
-      fast_forward;
-      simt;
-      corrupt_mask;
-    }
+    run_config ?simt ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
+      ?corrupt_mask cfg prepared
+  in
+  Digest.string (Marshal.to_string (config, prepared.Technique.kernel) [])
+
+let simulate ?simt ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
+    ?corrupt_mask ?telemetry cfg (prepared : Technique.prepared) =
+  let config =
+    run_config ?simt ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
+      ?corrupt_mask ?telemetry cfg prepared
   in
   let kernel = prepared.Technique.kernel in
   let stats =

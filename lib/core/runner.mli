@@ -42,6 +42,25 @@ val simulate :
   Technique.prepared ->
   run
 
+(** [key cfg prepared] identifies the result of [simulate cfg prepared]
+    with the same arguments: a digest of every simulator input — the
+    architecture record, policy, [simt], [fast_forward], [record_stores],
+    [trace_warp0], [max_cycles], [corrupt_mask] and the prepared kernel.
+    The simulator is deterministic, so two calls with equal keys return
+    equal runs up to [technique] and [prepared]. A run with a telemetry
+    sink has no key: the sink is an output, so such runs must not be
+    shared. *)
+val key :
+  ?simt:bool ->
+  ?record_stores:bool ->
+  ?trace_warp0:bool ->
+  ?max_cycles:int ->
+  ?fast_forward:bool ->
+  ?corrupt_mask:int ->
+  Gpu_uarch.Arch_config.t ->
+  Technique.prepared ->
+  Digest.t
+
 (** [execute ?fast_forward cfg technique kernel] is {!prepare} followed by
     {!simulate} with [simt] taken from [options].
     [fast_forward] (default [true]) selects event-driven cycle skipping in

@@ -208,10 +208,15 @@ let key ?es_override ?options ?variant cfg ~arch technique spec =
 
 (* --- in-memory and on-disk caches ------------------------------------ *)
 
-(* The in-memory table may be touched from any domain that runs cells,
+(* The in-memory tables may be touched from any domain that runs cells,
    so accesses go through one mutex. Computation never happens under the
-   lock. *)
+   lock. [cache] maps cell keys to runs; [memo] maps simulator inputs
+   ({!Runner.key}) to runs, so cells whose compiled kernels coincide —
+   OWF falling back to the stock allocation, an |Es| override equal to
+   the heuristic's pick — share one simulation. *)
 let cache : (string, Runner.run) Hashtbl.t = Hashtbl.create 64
+
+let memo : (Digest.t, Runner.run) Hashtbl.t = Hashtbl.create 64
 
 let cache_lock = Mutex.create ()
 
@@ -225,11 +230,22 @@ let mem_add k run = with_cache (fun () -> Hashtbl.replace cache k run)
 
 let mem_mem k = with_cache (fun () -> Hashtbl.mem cache k)
 
+let memo_find k = with_cache (fun () -> Hashtbl.find_opt memo k)
+
+let memo_add k run = with_cache (fun () -> Hashtbl.replace memo k run)
+
 let misses = Atomic.make 0
 
 let simulations () = Atomic.get misses
 
-let clear () = with_cache (fun () -> Hashtbl.reset cache)
+let sim_runs = Atomic.make 0
+
+let simulator_runs () = Atomic.get sim_runs
+
+let clear () =
+  with_cache (fun () ->
+      Hashtbl.reset cache;
+      Hashtbl.reset memo)
 
 (* --- execution -------------------------------------------------------- *)
 
@@ -237,10 +253,34 @@ let clear () = with_cache (fun () -> Hashtbl.reset cache)
    phases live in [Runner]. Registered before any domain spawns. *)
 let merge_phase = Telemetry.Profile.phase "engine.merge"
 
+let prepare cfg c =
+  Runner.prepare ~options:(resolved_options c) c.arch c.technique
+    (Exp_config.kernel_of cfg c.spec)
+
+let sim_key c prepared =
+  Runner.key ~simt:(resolved_options c).Technique.simt ~fast_forward:!ff c.arch
+    prepared
+
+let simulate c prepared =
+  Atomic.incr sim_runs;
+  Runner.simulate ~simt:(resolved_options c).Technique.simt ~fast_forward:!ff
+    c.arch prepared
+
+(* A memoised run serves another cell with the same simulator inputs;
+   only the compile-side record (which Fig 10's heuristic marks read)
+   is the cell's own. *)
+let relabel run (prepared : Technique.prepared) =
+  { run with Runner.technique = prepared.Technique.technique; prepared }
+
 let compute cfg c =
-  let options = resolved_options c in
-  let kernel = Exp_config.kernel_of cfg c.spec in
-  Runner.execute ~options ~fast_forward:!ff c.arch c.technique kernel
+  let prepared = prepare cfg c in
+  let k = sim_key c prepared in
+  match memo_find k with
+  | Some run -> relabel run prepared
+  | None ->
+      let run = simulate c prepared in
+      memo_add k run;
+      run
 
 let lookup cfg c =
   let k = key_of_cell cfg c in
@@ -263,10 +303,11 @@ let run ?es_override ?options ?variant cfg ~arch technique spec =
 
 (* Work-queue fan-out on the shared persistent pool: jobs claim indices
    and write into disjoint slots of the result array, so results come
-   back in submission order whatever the worker count. Each task is a
-   full self-contained simulation (kernel, memory system, statistics are
-   all per-run state). [jobs = 1] is a 0-worker pool: the coordinator
-   runs everything itself, exactly the serial engine. *)
+   back in submission order whatever the worker count. Each task is
+   self-contained: a preparation, or a simulation whose kernel, memory
+   system and statistics are all per-run state. [jobs = 1] is a 0-worker
+   pool: the coordinator runs everything itself, exactly the serial
+   engine. *)
 let parallel_map ~jobs tasks f =
   let workers = max 0 (min jobs (Array.length tasks) - 1) in
   Pool.map (shared_pool ~workers) tasks f
@@ -279,7 +320,7 @@ let prefetch ?jobs:requested cfg cells =
     | None -> !default_jobs
   in
   (* Deduplicate by key and drop every cell either cache layer already
-     holds; only genuinely missing cells are simulated. *)
+     holds; only genuinely missing cells are computed. *)
   let queued = Hashtbl.create 16 in
   let pending =
     List.filter_map
@@ -298,17 +339,36 @@ let prefetch ?jobs:requested cfg cells =
   in
   if pending <> [] then begin
     let tasks = Array.of_list pending in
-    let runs = parallel_map ~jobs tasks (fun (_, c) -> compute cfg c) in
+    let prepared = parallel_map ~jobs tasks (fun (_, c) -> prepare cfg c) in
+    let sim_keys = Array.mapi (fun i (_, c) -> sim_key c prepared.(i)) tasks in
+    (* One simulation per distinct input the memo does not hold yet: the
+       first cell with each key runs it, in submission order, so the
+       simulation count is the same for every worker count. *)
+    let seen = Hashtbl.create 16 in
+    let owners = ref [] in
+    Array.iteri
+      (fun i k ->
+        if not (Hashtbl.mem seen k || Option.is_some (memo_find k)) then begin
+          Hashtbl.replace seen k ();
+          owners := i :: !owners
+        end)
+      sim_keys;
+    let owners = Array.of_list (List.rev !owners) in
+    let runs =
+      parallel_map ~jobs owners (fun i -> simulate (snd tasks.(i)) prepared.(i))
+    in
     (* Merge on the coordinator, in submission order: figure output is
        byte-identical whatever the worker count or completion order. *)
     Telemetry.Profile.time merge_phase (fun () ->
+        Array.iteri (fun j run -> memo_add sim_keys.(owners.(j)) run) runs;
         Array.iteri
-          (fun i run ->
-            let k, _ = tasks.(i) in
+          (fun i (k, _) ->
+            let shared = Option.get (memo_find sim_keys.(i)) in
+            let run = relabel shared prepared.(i) in
             Atomic.incr misses;
             mem_add k run;
             Result_store.store k run)
-          runs)
+          tasks)
   end
 
 let run_batch ?jobs cfg cells =

@@ -10,6 +10,12 @@
       figure runs skip simulation entirely. A rebuilt simulator gets a
       fresh version directory; stale results are never replayed.
 
+    Distinct cells can also compile to the same simulator input (OWF
+    falling back to the stock allocation, an |Es| override equal to the
+    heuristic's pick), so computed cells go through a second in-memory
+    table keyed by {!Regmutex.Runner.key}: each distinct input is
+    simulated once until {!clear}.
+
     Batches of cells ({!prefetch}, {!run_batch}) are deduplicated and
     fanned out over worker domains (see {!set_jobs}); results are merged
     deterministically, so figure output is byte-identical to a serial run. *)
@@ -90,11 +96,13 @@ end
     runs. *)
 val parallel_map : jobs:int -> 'a array -> ('a -> 'b) -> 'b array
 
-(** [prefetch ?jobs cfg cells] simulates every cell not already cached,
-    fanning the unique missing cells out over [jobs] worker domains
-    (default {!jobs}; [0] means {!auto_jobs}). On return every cell is a
-    cache hit. Figures call this up front so their row builders never
-    simulate serially. *)
+(** [prefetch ?jobs cfg cells] computes every cell not already cached:
+    it prepares the unique missing cells, then simulates each distinct
+    simulator input once, fanning both out over [jobs] worker domains
+    (default {!jobs}; [0] means {!auto_jobs}). The simulations are the
+    same for every worker count. On return every cell is a cache hit.
+    Figures call this up front so their row builders never simulate
+    serially. *)
 val prefetch : ?jobs:int -> Exp_config.t -> cell list -> unit
 
 (** [run_batch ?jobs cfg cells] — {!prefetch} then the runs, in order. *)
@@ -127,10 +135,17 @@ val set_cache_dir : string option -> unit
 
 val cache_dir : unit -> string option
 
-(** Drop all in-memory cached runs (tests use this to control sharing).
-    The on-disk store, if enabled, is untouched. *)
+(** Drop all in-memory cached runs and the simulation memo (tests and
+    benchmarks use this to control sharing). The on-disk store, if
+    enabled, is untouched. *)
 val clear : unit -> unit
 
-(** Number of simulations actually executed by this process (misses in
-    both cache layers). *)
+(** Number of cells computed by this process (misses in both cache
+    layers); each one fills a store entry. *)
 val simulations : unit -> int
+
+(** Number of {!Regmutex.Runner.simulate} calls made by this process. A
+    computed cell whose simulator inputs ({!Regmutex.Runner.key}) equal
+    an earlier cell's since the last {!clear} reuses that run instead of
+    simulating, so this is at most {!simulations}. *)
+val simulator_runs : unit -> int

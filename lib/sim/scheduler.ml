@@ -157,8 +157,10 @@ let pick_two_level t ~group_size ~(soa : Soa.t) ~cycle ~can_issue =
 (* While the clock is below [min_ready] no owned slot passes the
    scoreboard prefix, so no scan could pick (or call [can_issue] on)
    anything. *)
+let bounded t ~cycle = cycle < t.min_ready
+
 let pick t ~soa ~cycle ~can_issue =
-  if cycle < t.min_ready then -1
+  if bounded t ~cycle then -1
   else
     match t.kind with
     | Gto -> pick_gto t ~soa ~cycle ~can_issue

@@ -37,6 +37,11 @@ val owns : t -> slot:int -> bool
     missing one makes {!pick} skip an eligible warp. *)
 val note_ready : t -> ready_at:int -> unit
 
+(** [bounded t ~cycle] holds while [cycle] is below the scheduler's
+    [ready_at] bound: every owned [Ready] slot is then still waiting on
+    its scoreboard, and {!pick} answers [-1] without scanning. *)
+val bounded : t -> cycle:int -> bool
+
 (** Width of the age field inside a packed ordering key; ages at or above
     [2^age_bits] saturate to {!age_mask} rather than corrupting the
     priority field. *)

@@ -77,6 +77,8 @@ type t = {
   mutable oldest_cache : int;
   mutable resident_ctas : int;
   mutable resident_warps : int;
+  mutable n_ready : int;    (* slots in [Ready] status *)
+  mutable n_barrier : int;  (* slots in [At_barrier] status *)
   mutable retired : int;
   mutable launched_this_cycle : int;
   mutable next_age : int;
@@ -492,6 +494,8 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     oldest_cache = max_int;
     resident_ctas = 0;
     resident_warps = 0;
+    n_ready = 0;
+    n_barrier = 0;
     retired = 0;
     launched_this_cycle = -1;
     next_age = 0;
@@ -532,6 +536,7 @@ let srp_in_use t =
   | Ps_static | Ps_owf | Ps_rfv _ -> 0
 let resident_ctas t = t.resident_ctas
 let resident_warps t = t.resident_warps
+let status_counts t = (t.n_ready, t.n_barrier)
 let retired_ctas t = t.retired
 
 (* --- CTA launch and retirement ------------------------------------- *)
@@ -618,6 +623,7 @@ let try_launch t ~global_cta ~cycle =
         done;
         t.resident_ctas <- t.resident_ctas + 1;
         t.resident_warps <- t.resident_warps + n_warps;
+        t.n_ready <- t.n_ready + n_warps;
         t.launched_this_cycle <- cycle;
         t.state_gen <- t.state_gen + 1;
         if t.tracing then
@@ -661,6 +667,8 @@ let maybe_release_barrier t ~cycle cta =
       let slot = (cta.cta_slot * t.warps_per_cta) + w in
       if soa.Soa.status.(slot) = Soa.st_barrier then begin
         soa.Soa.status.(slot) <- Soa.st_ready;
+        t.n_barrier <- t.n_barrier - 1;
+        t.n_ready <- t.n_ready + 1;
         wake_slot t ~slot
       end
     done
@@ -739,6 +747,7 @@ let poison_ext t ~slot =
 let warp_done t ~cycle ~slot cta =
   let soa = t.soa in
   soa.Soa.status.(slot) <- Soa.st_done;
+  t.n_ready <- t.n_ready - 1;
   if t.tracing then
     emit t ~cycle
       (Event_trace.Warp_exited
@@ -951,6 +960,8 @@ let issue t ~slot ~cycle =
         else warp_done t ~cycle ~slot cta
     | Exec.Barrier ->
         soa.Soa.status.(slot) <- Soa.st_barrier;
+        t.n_ready <- t.n_ready - 1;
+        t.n_barrier <- t.n_barrier + 1;
         advance t ~slot ~next:(route t ~slot (pc + 1));
         cta.arrived <- cta.arrived + 1;
         if t.tracing then
@@ -1065,7 +1076,7 @@ let idle_summary t ~cycle =
    so under the static policy the first warp blocked on dependencies
    settles the answer. Runs on every cycle where some scheduler finds
    nothing to issue; {!idle_summary} is the unoptimised reference. *)
-let classify_idle t ~cycle =
+let scan_idle t ~cycle =
   let soa = t.soa in
   let status = soa.Soa.status in
   let ready_at = soa.Soa.ready_at in
@@ -1103,6 +1114,20 @@ let classify_idle t ~cycle =
     slot := s + 1
   done;
   stall_reason_of_block !best
+
+(* When every scheduler is [bounded], no [Ready] warp has passed its
+   scoreboard, so each one is [Blocked_deps] and the answer follows from
+   the status counts alone, without a scan. *)
+let rec all_bounded scheds i ~cycle =
+  i >= Array.length scheds
+  || (Scheduler.bounded scheds.(i) ~cycle && all_bounded scheds (i + 1) ~cycle)
+
+let classify_idle t ~cycle =
+  if all_bounded t.schedulers 0 ~cycle then
+    if t.n_ready > 0 then Stats.Stall_deps
+    else if t.n_barrier > 0 then Stats.Stall_barrier
+    else Stats.Stall_empty
+  else scan_idle t ~cycle
 
 (* --- diagnostics ------------------------------------------------------ *)
 

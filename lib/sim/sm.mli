@@ -51,6 +51,12 @@ val srp_sections_for :
 
 val resident_ctas : t -> int
 val resident_warps : t -> int
+
+(** [(ready, barrier)]: the SM's maintained counts of warp slots in
+    [Ready] and [At_barrier] status, which {!classify_idle} answers from
+    when every scheduler's scoreboard bound is ahead of the clock.
+    Exposed for tests. *)
+val status_counts : t -> int * int
 val retired_ctas : t -> int
 
 (** SRP sections currently acquired (0 for non-SRP policies). *)
@@ -74,7 +80,8 @@ val step : t -> cycle:int -> unit
     state, statistics, or the event trace, no matter how many idle
     schedulers classify the same cycle. The scan stops at the highest
     stall rank the policy and the memory-slot state still allow, so it
-    often visits only a prefix of the slots; it always equals
+    often visits only a prefix of the slots, and none at all while every
+    scheduler's scoreboard bound is ahead of the clock. It always equals
     [fst (idle_summary t ~cycle)]. *)
 val classify_idle : t -> cycle:int -> Stats.stall_reason
 

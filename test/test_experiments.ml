@@ -314,6 +314,81 @@ let test_fig10_marks_heuristic () =
             (List.mem es E.Fig10.es_values))
     rows
 
+(* --- simulation memo ----------------------------------------------------- *)
+
+(* Figure 10's cells for BFS plus its OWF and baseline cells: OWF falls
+   back to the stock allocation and one |Es| override equals the
+   heuristic's pick, so some cells share a simulator input. *)
+let memo_cells () =
+  let spec = Workloads.Registry.find "BFS" in
+  let arch = tiny.E.Exp_config.arch in
+  (None, Regmutex.Technique.Baseline) :: (None, Regmutex.Technique.Owf)
+  :: (None, Regmutex.Technique.Regmutex)
+  :: List.map (fun es -> (Some es, Regmutex.Technique.Regmutex)) E.Fig10.es_values
+  |> List.map (fun (es_override, technique) ->
+         let options = { Regmutex.Technique.default_options with es_override } in
+         ( E.Engine.cell ?es_override ~arch technique spec,
+           fun () ->
+             Regmutex.Runner.execute ~options arch technique
+               (E.Exp_config.kernel_of tiny spec) ))
+
+let test_memo_exact () =
+  with_engine_defaults @@ fun () ->
+  E.Engine.clear ();
+  let cells = memo_cells () in
+  let sims0 = E.Engine.simulator_runs () and cells0 = E.Engine.simulations () in
+  let runs = E.Engine.run_batch tiny (List.map fst cells) in
+  let sims = E.Engine.simulator_runs () - sims0 in
+  Alcotest.(check int) "every cell computed" (List.length cells)
+    (E.Engine.simulations () - cells0);
+  Alcotest.(check bool) "fewer simulations than cells" true
+    (sims > 0 && sims < List.length cells);
+  List.iteri
+    (fun i ((run : Regmutex.Runner.run), (_, execute)) ->
+      let fresh = execute () in
+      Alcotest.(check string)
+        (Printf.sprintf "cell %d: fingerprint of a fresh run" i)
+        (Regmutex.Runner.fingerprint fresh) (Regmutex.Runner.fingerprint run);
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d: the cell's own compile-side record" i)
+        true
+        (run.Regmutex.Runner.prepared = fresh.Regmutex.Runner.prepared))
+    (List.combine runs cells)
+
+let test_memo_clear () =
+  with_engine_defaults @@ fun () ->
+  let cells = List.map fst (memo_cells ()) in
+  let simulated () =
+    let sims0 = E.Engine.simulator_runs () in
+    ignore (E.Engine.run_batch tiny cells);
+    E.Engine.simulator_runs () - sims0
+  in
+  E.Engine.clear ();
+  let first = simulated () in
+  Alcotest.(check int) "a cached batch simulates nothing" 0 (simulated ());
+  E.Engine.clear ();
+  Alcotest.(check int) "after clear the batch simulates again" first (simulated ())
+
+let test_memo_key_inputs () =
+  let spec = Workloads.Registry.find "BFS" in
+  let cfg = tiny in
+  let arch = cfg.E.Exp_config.arch in
+  let key ?simt ?fast_forward ?(cfg = cfg) arch =
+    let kernel = E.Exp_config.kernel_of cfg spec in
+    Regmutex.Runner.key ?simt ?fast_forward arch
+      (Regmutex.Runner.prepare arch Regmutex.Technique.Baseline kernel)
+  in
+  let base = key arch in
+  Alcotest.(check string) "equal inputs, equal keys" base (key arch);
+  List.iter
+    (fun (label, k) -> Alcotest.(check bool) label true (k <> base))
+    [ ("half register file", key cfg.E.Exp_config.half_arch);
+      ("simt", key ~simt:true arch);
+      ("fast-forward off", key ~fast_forward:false arch);
+      ("grid scale", key ~cfg:{ cfg with E.Exp_config.grid_scale = 0.2 } arch);
+      ( "scheduler ablation arch",
+        key { arch with Gpu_uarch.Arch_config.scheduler = Gpu_uarch.Arch_config.Lrr } ) ]
+
 let test_ablation_variants () =
   Alcotest.(check int) "five variants" 5 (List.length E.Ablation.variants);
   Alcotest.(check bool) "labels distinct" true
@@ -337,6 +412,10 @@ let suite =
     Alcotest.test_case "Figure 13 rows" `Slow test_fig13_rows;
     Alcotest.test_case "Figure 10 heuristic marks" `Slow test_fig10_marks_heuristic;
     Alcotest.test_case "ablation variants" `Quick test_ablation_variants;
+    Alcotest.test_case "memo: shared runs equal fresh runs" `Slow test_memo_exact;
+    Alcotest.test_case "memo: clear empties it" `Slow test_memo_clear;
+    Alcotest.test_case "memo: every input is in the key" `Quick
+      test_memo_key_inputs;
     Alcotest.test_case "store: truncated entry is a miss" `Slow
       test_store_truncated_entry;
     Alcotest.test_case "store: foreign key is a miss" `Slow

@@ -6,9 +6,11 @@
 
    Exactness: [Sm.classify_idle] (the early-exit idle attribution the
    schedulers use every idle cycle) must always agree with the
-   straightforward full scan in [Sm.idle_summary]. Brute-force stepping
-   with an every-cycle observer visits every cycle of the run, so the two
-   are compared in every reachable state. *)
+   straightforward full scan in [Sm.idle_summary], and the SM's
+   maintained ready/barrier counts it answers from must equal a recount
+   of the warp statuses. Brute-force stepping with an every-cycle
+   observer visits every cycle of the run, so these are compared in
+   every reachable state. *)
 
 open Gpu_sim
 module Technique = Regmutex.Technique
@@ -84,6 +86,17 @@ let check_classification ~arch ~label technique spec =
         let fast = Sm.classify_idle sm ~cycle in
         let full = fst (Sm.idle_summary sm ~cycle) in
         incr checked;
+        let warps = Sm.diagnose sm ~cycle in
+        let recount status =
+          List.length (List.filter (fun d -> d.Sm.d_status = status) warps)
+        in
+        let counts = (recount Warp.Ready, recount Warp.At_barrier) in
+        if Sm.status_counts sm <> counts then
+          Alcotest.failf "%s/%s/%s, SM %d, cycle %d: maintained (ready, barrier) \
+                          counts (%d, %d), recount (%d, %d)"
+            spec.Workloads.Spec.name (Technique.name technique) label i cycle
+            (fst (Sm.status_counts sm)) (snd (Sm.status_counts sm))
+            (fst counts) (snd counts);
         if fast <> full then
           Alcotest.failf "%s/%s/%s, %d memory slots, SM %d, cycle %d: classify_idle %s, \
                           idle_summary %s"
