@@ -9,7 +9,7 @@
      regmutex trace BFS --out run.trace.json [--check] [...run flags]
      regmutex sweep [fig7 fig9a ...] [--jobs N] [--no-cache] [--quick] [--profile]
      regmutex fuzz [--seeds N] [--seed0 S] [--jobs N] [--inject FAULT]
-     regmutex report [--check] [--tolerance PCT] [--write-baseline]
+     regmutex report [--check] [--write-baseline] [--baseline FILE]
      regmutex storage *)
 
 open Cmdliner
@@ -572,66 +572,52 @@ let fuzz_cmd =
 
 let report_cmd =
   let doc =
-    "Summarize the committed BENCH_*.json perf artifacts and compare them \
-     against the baseline trajectory."
+    "Simulate every report cell once per execution mode at the quick grid \
+     config, check the cross-mode identities and compare the deterministic \
+     metrics exactly against the committed baseline."
   in
   let check_flag =
     Arg.(
       value & flag
       & info [ "check" ]
           ~doc:
-            "Exit 1 when any metric or the geomean regresses beyond the \
-             tolerance, any invariant is false, or no baseline exists.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 5.0
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed slowdown in percent, per metric and on the geomean.")
+            "Exit 1 when any metric differs from the baseline, a key is \
+             missing on either side, any invariant is broken, or no \
+             baseline can be read.")
   in
   let write_flag =
     Arg.(
       value & flag
       & info [ "write-baseline" ]
           ~doc:
-            "Rewrite the baseline from the current artifacts instead of \
+            "Rewrite the baseline from this measurement instead of \
              comparing.")
-  in
-  let dir_opt =
-    Arg.(
-      value & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Directory holding the artifacts (default: the repo root).")
   in
   let baseline_opt =
     Arg.(
       value & opt (some string) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Baseline file (default: $(b,bench/trajectory.json) under the \
-             repo root).")
+            "Baseline file (default: $(b,test/golden/report_quick.json) \
+             under the repo root).")
   in
-  let run check tol_pct write dir baseline =
+  let run check write baseline =
     let module R = Experiments.Report in
-    let root =
-      match dir with
-      | Some d -> d
-      | None -> (
-          match R.find_repo_root () with Some r -> r | None -> Sys.getcwd ())
-    in
-    let snap = R.scan ~dir:root in
     let baseline =
       match baseline with
       | Some p -> p
-      | None -> Filename.concat root (Filename.concat "bench" "trajectory.json")
+      | None ->
+          let root =
+            match R.find_repo_root () with Some r -> r | None -> Sys.getcwd ()
+          in
+          List.fold_left Filename.concat root
+            [ "test"; "golden"; "report_quick.json" ]
     in
+    let snap = R.measure Experiments.Exp_config.quick in
     if write then begin
       R.write_baseline baseline snap;
-      Format.printf "wrote %s (%d metrics, %d invariants, from %d artifacts)@."
-        baseline
+      Format.printf "wrote %s (%d metrics)@." baseline
         (List.length snap.R.metrics)
-        (List.length snap.R.invariants)
-        (List.length snap.R.sources)
     end
     else begin
       R.pp_snapshot Format.std_formatter snap;
@@ -640,14 +626,14 @@ let report_cmd =
           Format.printf "@.no baseline: %s@." e;
           if check then exit 1
       | Ok base ->
-          let o = R.check ~tolerance:(tol_pct /. 100.) snap base in
-          R.pp_outcome Format.std_formatter o;
-          if check && o.R.failures <> [] then exit 1
+          let failures = R.check snap base in
+          Format.printf "@.";
+          R.pp_failures Format.std_formatter failures;
+          if check && failures <> [] then exit 1
     end
   in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(
-      const run $ check_flag $ tolerance $ write_flag $ dir_opt $ baseline_opt)
+    Term.(const run $ check_flag $ write_flag $ baseline_opt)
 
 (* --- storage -------------------------------------------------------- *)
 

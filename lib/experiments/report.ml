@@ -1,19 +1,180 @@
 module J = Telemetry.Json_check
+module Spec = Workloads.Spec
+module Runner = Regmutex.Runner
+module Technique = Regmutex.Technique
+module Stats = Gpu_sim.Stats
 
-type metric = {
-  key : string;
-  value : float;
-  higher_better : bool;
-  config : string;
+type metric = { key : string; value : float }
+
+type invariant = { inv_key : string; failing : string list }
+
+type snapshot = { metrics : metric list; invariants : invariant list }
+
+type cells = {
+  uniform : Spec.t list;
+  simt : Spec.t list;
+  divergent : Spec.t list;
 }
 
-type invariant = { inv_key : string; ok : bool }
+let default_cells =
+  {
+    uniform = Workloads.Registry.all @ Workloads.Registry.latency_bound;
+    simt = Workloads.Registry.figure1;
+    divergent = Workloads.Registry.divergent;
+  }
 
-type snapshot = {
-  metrics : metric list;
-  invariants : invariant list;
-  sources : string list;
+(* --- the measuring pass ---------------------------------------------- *)
+
+(* One cell: a workload under one technique on its evaluation
+   architecture. [run] simulates it in the requested mode. *)
+type cell = {
+  name : string;
+  technique : Technique.t;
+  arch : Gpu_uarch.Arch_config.t;
+  run :
+    ?options:Technique.options ->
+    ?telemetry:Telemetry.Sink.t ->
+    bool ->
+    Runner.run;
 }
+
+let cells_of cfg specs =
+  List.concat_map
+    (fun spec ->
+      let arch = Exp_config.eval_arch cfg spec in
+      let kernel = Exp_config.kernel_of cfg spec in
+      List.map
+        (fun technique ->
+          {
+            name = spec.Spec.name ^ "/" ^ Technique.name technique;
+            technique;
+            arch;
+            run =
+              (fun ?options ?telemetry fast_forward ->
+                Runner.execute ?options ?telemetry ~fast_forward arch technique
+                  kernel);
+          })
+        Technique.all)
+    specs
+
+let same a b = String.equal (Runner.fingerprint a) (Runner.fingerprint b)
+
+let failing_cells results ok =
+  List.filter_map (fun (c, r) -> if ok r then None else Some c.name) results
+
+let total f runs =
+  float_of_int
+    (List.fold_left (fun a (r : Runner.run) -> a + f r.Runner.stats) 0 runs)
+
+let mean f l =
+  List.fold_left (fun a x -> a +. f x) 0. l /. float_of_int (List.length l)
+
+let measure ?(cells = default_cells) cfg =
+  let simt = { Technique.default_options with Technique.simt = true } in
+  (* Uniform cells: fast-forward and brute force, each with the sink off
+     and on. All four runs must share one fingerprint. *)
+  let uniform =
+    List.map
+      (fun c ->
+        let ff = c.run true and bf = c.run false in
+        let sink () = Telemetry.Sink.create () in
+        let ff_on = c.run ~telemetry:(sink ()) true
+        and bf_on = c.run ~telemetry:(sink ()) false in
+        (c, (ff, same ff bf, same ff ff_on && same bf bf_on)))
+      (cells_of cfg cells.uniform)
+  in
+  (* --simt on warp-uniform kernels: both stepping modes must reproduce
+     the uniform fingerprint, so with ff = bf above all four agree. *)
+  let four_way =
+    List.map
+      (fun c ->
+        let uniform_ff =
+          List.find_map
+            (fun (u, (ff, _, _)) -> if u.name = c.name then Some ff else None)
+            uniform
+          |> Option.get
+        in
+        ( c,
+          same uniform_ff (c.run ~options:simt true)
+          && same uniform_ff (c.run ~options:simt false) ))
+      (cells_of cfg cells.simt)
+  in
+  (* Divergent kernels: the execution models differ by design, so only
+     ff = bf under --simt is an identity. *)
+  let divergent =
+    List.map
+      (fun c ->
+        let ff = c.run ~options:simt true in
+        (c, (ff, same ff (c.run ~options:simt false))))
+      (cells_of cfg cells.divergent)
+  in
+  let ff_run (_, (ff, _, _)) = ff in
+  let technique_runs t =
+    List.filter_map
+      (fun ((c, _) as r) ->
+        if c.technique = t then Some (c, ff_run r) else None)
+      uniform
+  in
+  (* Per workload: RegDem against the baseline on the same architecture
+     (both lists follow [cells.uniform]'s order). *)
+  let regdem_pairs =
+    List.combine
+      (technique_runs Technique.Baseline)
+      (technique_runs Technique.Regdem)
+  in
+  let energy (c, r) =
+    let e = Technique.energy c.arch c.technique r.Runner.stats in
+    e.Gpu_uarch.Energy_model.total_nj
+  in
+  let demoted (_, r) =
+    match r.Runner.prepared.Technique.policy with
+    | Gpu_sim.Policy.Regdem { spill_words; _ } -> spill_words > 0
+    | _ -> false
+  in
+  let divergent_runs = List.map (fun (_, (ff, _)) -> ff) divergent in
+  let all_runs = List.map ff_run uniform @ divergent_runs in
+  let metrics =
+    [
+      ( "regdem.mean_occupancy_gain",
+        mean
+          (fun ((_, b), (_, d)) ->
+            float_of_int d.Runner.theoretical_warps
+            /. float_of_int b.Runner.theoretical_warps)
+          regdem_pairs );
+      ( "regdem.mean_energy_factor",
+        mean (fun (b, d) -> energy d /. energy b) regdem_pairs );
+      ("total.cycles", total (fun s -> s.Stats.cycles) all_runs);
+      ("total.instructions", total (fun s -> s.Stats.instructions) all_runs);
+      ( "total.divergent_branches",
+        total (fun s -> s.Stats.divergent_branches) divergent_runs );
+    ]
+  in
+  let exists_or why ok = if ok then [] else [ why ] in
+  let invariants =
+    [
+      ("ff_bf.identical", failing_cells uniform (fun (_, ok, _) -> ok));
+      ("telemetry.identical", failing_cells uniform (fun (_, _, ok) -> ok));
+      ("simt.four_way_identical", failing_cells four_way Fun.id);
+      ("simt.divergent_ff_bf_identical", failing_cells divergent snd);
+      ( "simt.divergence_exercised",
+        exists_or "no baseline cell diverges"
+          (List.exists
+             (fun (c, (ff, _)) ->
+               c.technique = Technique.Baseline
+               && ff.Runner.stats.Stats.divergent_branches > 0)
+             divergent) );
+      ( "regdem.demotion_applied",
+        exists_or "no workload is demoted"
+          (List.exists demoted (technique_runs Technique.Regdem)) );
+    ]
+  in
+  {
+    metrics = List.map (fun (key, value) -> { key; value }) metrics;
+    invariants =
+      List.map (fun (inv_key, failing) -> { inv_key; failing }) invariants;
+  }
+
+(* --- baseline persistence -------------------------------------------- *)
 
 let find_repo_root ?start () =
   let rec up dir =
@@ -30,360 +191,125 @@ let find_repo_root ?start () =
   in
   up start
 
-(* --- field accessors over Json_check values ------------------------- *)
-
-let field obj name =
-  match obj with
-  | J.Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let num obj name =
-  match field obj name with Some (J.Num f) -> Some f | _ -> None
-
-let str obj name =
-  match field obj name with Some (J.Str s) -> Some s | _ -> None
-
-let boolean obj name =
-  match field obj name with Some (J.Bool b) -> Some b | _ -> None
-
-let config_of obj = Option.value (str obj "config") ~default:""
-
-(* --- per-kind normalization ----------------------------------------- *)
-
-(* Each extractor returns the metrics and invariants one artifact
-   contributes. Keys are "<bench>.<metric>" so artifacts never collide
-   and a reader can trace a number back to its file. Fields that are
-   null or absent (e.g. soa_core's seed comparison when no seed
-   fingerprints were committed) are simply not contributed. *)
-
-let metric ?(higher_better = true) ~config key value =
-  { key; value; higher_better; config }
-
-let extract_cycle_skip j =
-  let config = config_of j in
-  let ms =
-    match num j "max_speedup" with
-    | Some v -> [ metric ~config "cycle_skip.max_speedup" v ]
-    | None -> []
-  in
-  let invs =
-    match boolean j "all_identical" with
-    | Some ok -> [ { inv_key = "cycle_skip.all_identical"; ok } ]
-    | None -> []
-  in
-  (ms, invs)
-
-let extract_soa_core j =
-  let config = config_of j in
-  let ms =
-    List.filter_map
-      (fun name ->
-        Option.map (fun v -> metric ~config ("soa_core." ^ name) v) (num j name))
-      [ "geomean_speedup_compute"; "geomean_speedup_latency" ]
-  in
-  let invs =
-    List.filter_map
-      (fun name ->
-        Option.map
-          (fun ok -> { inv_key = "soa_core." ^ name; ok })
-          (boolean j name))
-      [ "all_identical"; "seed_identical" ]
-  in
-  (ms, invs)
-
-let extract_telemetry_overhead j =
-  let config = config_of j in
-  let ms =
-    match num j "overhead_on_pct" with
-    | Some pct ->
-        (* Overhead is a cost: fold it into a lower-is-better slowdown
-           factor so a 0% overhead scores 1.0 and regressions divide. *)
-        [
-          metric ~higher_better:false ~config "telemetry_overhead.factor"
-            (1. +. (pct /. 100.));
-        ]
-    | None -> []
-  in
-  let invs =
-    match boolean j "all_identical" with
-    | Some ok -> [ { inv_key = "telemetry_overhead.all_identical"; ok } ]
-    | None -> []
-  in
-  (ms, invs)
-
-let extract_regdem j =
-  let config = config_of j in
-  let ms =
-    List.filter_map
-      (fun (name, higher_better) ->
-        Option.map
-          (fun v -> metric ~higher_better ~config ("regdem." ^ name) v)
-          (num j name))
-      (* Occupancy bought is the win; the energy factor is a cost. *)
-      [ ("mean_occupancy_gain", true); ("mean_energy_factor", false) ]
-  in
-  let invs =
-    List.filter_map
-      (fun name ->
-        Option.map
-          (fun ok -> { inv_key = "regdem." ^ name; ok })
-          (boolean j name))
-      [ "all_identical"; "demotion_applied" ]
-  in
-  (ms, invs)
-
-let extract_simt j =
-  let config = config_of j in
-  let ms =
-    match num j "overhead_factor" with
-    | Some v ->
-        (* The wall-time price of lane-resolved execution: a cost, so
-           lower is better (1.0 would be a free lane dimension). *)
-        [ metric ~higher_better:false ~config "simt.overhead_factor" v ]
-    | None -> []
-  in
-  let invs =
-    List.filter_map
-      (fun name ->
-        Option.map
-          (fun ok -> { inv_key = "simt." ^ name; ok })
-          (boolean j name))
-      [ "all_identical"; "divergent_identical"; "divergence_exercised" ]
-  in
-  (ms, invs)
-
-let extract j =
-  match str j "bench" with
-  | Some "cycle_skip" -> Some (extract_cycle_skip j)
-  | Some "soa_core" -> Some (extract_soa_core j)
-  | Some "telemetry_overhead" -> Some (extract_telemetry_overhead j)
-  | Some "regdem" -> Some (extract_regdem j)
-  | Some "simt" -> Some (extract_simt j)
-  | _ -> None
-
-(* --- scan ------------------------------------------------------------ *)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let scan ~dir =
-  let names =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun n ->
-           String.length n > 6
-           && String.sub n 0 6 = "BENCH_"
-           && Filename.check_suffix n ".json")
-    |> List.sort String.compare
-  in
-  let metrics, invariants, sources =
-    List.fold_left
-      (fun (ms, is, srcs) name ->
-        let parsed =
-          try J.parse_opt (read_file (Filename.concat dir name))
-          with Sys_error e -> Error e
-        in
-        match parsed with
-        | Error _ -> (ms, is, srcs)
-        | Ok j -> (
-            match extract j with
-            | None -> (ms, is, srcs)
-            | Some (m, i) -> (ms @ m, is @ i, srcs @ [ name ])))
-      ([], [], []) names
-  in
-  { metrics; invariants; sources }
-
-(* --- baseline persistence ------------------------------------------- *)
+let show v = J.to_string (J.Num v)
 
 let load_baseline path =
-  if not (Sys.file_exists path) then Error (path ^ ": no such baseline")
-  else
-    match J.parse_opt (read_file path) with
-    | Error e -> Error (path ^ ": " ^ e)
-    | Ok j -> (
-        match field j "metrics" with
-        | Some (J.List rows) ->
-            Ok
-              (List.filter_map
-                 (fun row ->
-                   match (str row "key", num row "value") with
-                   | Some key, Some value ->
-                       Some
-                         {
-                           key;
-                           value;
-                           higher_better =
-                             Option.value
-                               (boolean row "higher_better")
-                               ~default:true;
-                           config = config_of row;
-                         }
-                   | _ -> None)
-                 rows)
-        | _ -> Error (path ^ ": missing \"metrics\" array"))
+  let row = function
+    | J.Obj kvs -> (
+        match
+          ( List.sort compare (List.map fst kvs),
+            List.assoc_opt "key" kvs,
+            List.assoc_opt "value" kvs )
+        with
+        | [ "key"; "value" ], Some (J.Str key), Some (J.Num value) ->
+            Some { key; value }
+        | _ -> None)
+    | _ -> None
+  in
+  let rec rows i acc = function
+    | [] -> Ok (List.rev acc)
+    | r :: rest -> (
+        match row r with
+        | None ->
+            Error
+              (Printf.sprintf
+                 "%s: metrics row %d is not {\"key\": string, \"value\": \
+                  number}"
+                 path i)
+        | Some m when List.exists (fun b -> String.equal b.key m.key) acc ->
+            Error (Printf.sprintf "%s: duplicate key %s" path m.key)
+        | Some m -> rows (i + 1) (m :: acc) rest)
+  in
+  match J.parse_opt (read_file path) with
+  | exception Sys_error e -> Error e
+  | Error e -> Error (path ^ ": " ^ e)
+  | Ok (J.Obj kvs) -> (
+      match List.assoc_opt "metrics" kvs with
+      | Some (J.List l) -> rows 0 [] l
+      | _ -> Error (path ^ ": missing \"metrics\" array"))
+  | Ok _ -> Error (path ^ ": not a JSON object")
 
 let write_baseline path snapshot =
   let row m =
-    J.Obj
-      [
-        ("key", J.Str m.key);
-        ("value", J.Num m.value);
-        ("higher_better", J.Bool m.higher_better);
-        ("config", J.Str m.config);
-      ]
+    J.to_string (J.Obj [ ("key", J.Str m.key); ("value", J.Num m.value) ])
   in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc "{\n  \"comment\": \"perf baseline; refresh with: \
-                        regmutex report --write-baseline\",\n";
       output_string oc
-        (Printf.sprintf "  \"sources\": %s,\n"
-           (J.to_string (J.List (List.map (fun s -> J.Str s) snapshot.sources))));
-      output_string oc "  \"metrics\": [\n";
-      List.iteri
-        (fun i m ->
-          output_string oc
-            (Printf.sprintf "    %s%s\n" (J.to_string (row m))
-               (if i = List.length snapshot.metrics - 1 then "" else ",")))
-        snapshot.metrics;
-      output_string oc "  ]\n}\n")
+        "{\n\
+        \  \"comment\": \"exact report baseline; refresh with: regmutex \
+         report --write-baseline\",\n\
+        \  \"metrics\": [\n";
+      output_string oc
+        (String.concat ",\n"
+           (List.map (fun m -> "    " ^ row m) snapshot.metrics));
+      output_string oc "\n  ]\n}\n")
 
-(* --- comparison ------------------------------------------------------ *)
+(* --- the gate -------------------------------------------------------- *)
 
-type verdict = {
-  v_key : string;
-  v_config : string;
-  current : float;
-  baseline : float;
-  ratio : float;
-}
-
-type outcome = {
-  compared : verdict list;
-  skipped : (string * string) list;
-  geomean : float option;
-  failures : string list;
-}
-
-let check ?(tolerance = 0.05) snapshot baseline =
-  let floor = 1. -. tolerance in
-  (* A config mismatch or a baseline key nothing measures any more is a
-     failure, not a skip: either would let a stale baseline entry hide a
-     retired or re-configured bench from the gate indefinitely. *)
-  let compared, skipped, mismatched =
-    List.fold_left
-      (fun (cs, sk, mm) m ->
-        match List.find_opt (fun b -> String.equal b.key m.key) baseline with
-        | None -> (cs, sk @ [ (m.key, "not in baseline") ], mm)
-        | Some b when not (String.equal b.config m.config) ->
-            ( cs,
-              sk,
-              mm
-              @ [
-                  Printf.sprintf "%s: config mismatch (%s vs baseline %s)"
-                    m.key m.config b.config;
-                ] )
-        | Some b when b.value <= 0. || m.value <= 0. ->
-            (cs, sk @ [ (m.key, "non-positive value") ], mm)
+let check snapshot baseline =
+  let find l key = List.find_opt (fun m -> String.equal m.key key) l in
+  let changed =
+    List.filter_map
+      (fun m ->
+        match find baseline m.key with
+        | None ->
+            Some
+              (Printf.sprintf "%s: measured %s, not in baseline" m.key
+                 (show m.value))
+        | Some b when Float.equal b.value m.value -> None
         | Some b ->
-            let ratio =
-              if m.higher_better then m.value /. b.value
-              else b.value /. m.value
-            in
-            ( cs
-              @ [
-                  {
-                    v_key = m.key;
-                    v_config = m.config;
-                    current = m.value;
-                    baseline = b.value;
-                    ratio;
-                  };
-                ],
-              sk,
-              mm ))
-      ([], [], []) snapshot.metrics
+            Some
+              (Printf.sprintf "%s: baseline %s, measured %s" m.key
+                 (show b.value) (show m.value)))
+      snapshot.metrics
   in
   let stale =
     List.filter_map
       (fun b ->
-        if List.exists (fun m -> String.equal m.key b.key) snapshot.metrics
-        then None
-        else Some (Printf.sprintf "%s: in baseline but not measured" b.key))
+        match find snapshot.metrics b.key with
+        | None -> Some (b.key ^ ": in baseline but not measured")
+        | Some _ -> None)
       baseline
   in
-  let geomean =
-    match compared with
-    | [] -> None
-    | vs ->
-        let sum = List.fold_left (fun a v -> a +. log v.ratio) 0. vs in
-        Some (exp (sum /. float_of_int (List.length vs)))
-  in
-  let failures =
+  let broken =
     List.filter_map
-      (fun v ->
-        if v.ratio < floor then
-          Some
-            (Printf.sprintf "%s regressed: %.4g -> %.4g (ratio %.3f < %.3f)"
-               v.v_key v.baseline v.current v.ratio floor)
-        else None)
-      compared
-    @ (match geomean with
-      | Some g when g < floor ->
-          [ Printf.sprintf "geomean ratio %.3f < %.3f" g floor ]
-      | _ -> [])
-    @ mismatched @ stale
-    @ List.filter_map
-        (fun i ->
-          if i.ok then None
-          else Some (Printf.sprintf "invariant %s is false" i.inv_key))
-        snapshot.invariants
+      (fun i ->
+        match i.failing with
+        | [] -> None
+        | l ->
+            let shown = List.filteri (fun k _ -> k < 3) l in
+            Some
+              (Printf.sprintf "invariant %s broken (%d): %s%s" i.inv_key
+                 (List.length l) (String.concat ", " shown)
+                 (if List.length l > 3 then ", ..." else "")))
+      snapshot.invariants
   in
-  { compared; skipped; geomean; failures }
+  changed @ stale @ broken
 
 (* --- rendering ------------------------------------------------------- *)
 
 let pp_snapshot ppf s =
-  Format.fprintf ppf "Artifacts: %s@."
-    (match s.sources with [] -> "(none)" | l -> String.concat ", " l);
-  Format.fprintf ppf "@.%-40s %9s  %s  %s@." "metric" "value" "dir" "config";
   List.iter
-    (fun m ->
-      Format.fprintf ppf "%-40s %9.3f  %s  %s@." m.key m.value
-        (if m.higher_better then "up " else "dn ")
-        m.config)
+    (fun m -> Format.fprintf ppf "%-32s %s@." m.key (show m.value))
     s.metrics;
-  if s.invariants <> [] then begin
-    Format.fprintf ppf "@.";
-    List.iter
-      (fun i ->
-        Format.fprintf ppf "%-40s %9s@." i.inv_key
-          (if i.ok then "ok" else "FALSE"))
-      s.invariants
-  end
-
-let pp_outcome ppf o =
-  if o.compared <> [] then begin
-    Format.fprintf ppf "@.%-40s %9s %9s %7s@." "vs baseline" "base" "now"
-      "ratio";
-    List.iter
-      (fun v ->
-        Format.fprintf ppf "%-40s %9.3f %9.3f %7.3f@." v.v_key v.baseline
-          v.current v.ratio)
-      o.compared
-  end;
+  Format.fprintf ppf "@.";
   List.iter
-    (fun (k, why) -> Format.fprintf ppf "skipped %-32s %s@." k why)
-    o.skipped;
-  (match o.geomean with
-  | Some g -> Format.fprintf ppf "@.geomean ratio vs baseline: %.3f@." g
-  | None -> ());
-  match o.failures with
-  | [] -> Format.fprintf ppf "perf check: PASS@."
+    (fun i ->
+      Format.fprintf ppf "%-32s %s@." i.inv_key
+        (if i.failing = [] then "ok" else "BROKEN"))
+    s.invariants
+
+let pp_failures ppf = function
+  | [] -> Format.fprintf ppf "report check: PASS@."
   | fs ->
-      Format.fprintf ppf "perf check: FAIL@.";
+      Format.fprintf ppf "report check: FAIL@.";
       List.iter (fun f -> Format.fprintf ppf "  - %s@." f) fs

@@ -1,78 +1,64 @@
-(** Performance-trajectory report: ingest the committed [BENCH_*.json]
-    artifacts, compare them against the checked-in baseline
-    ([bench/trajectory.json]) and fail on regressions.
+(** Reproduction report: one measuring pass over the simulator and an
+    exact gate against a committed baseline
+    ([test/golden/report_quick.json]).
 
-    Every bench harness (cycles, soa, regdem, telemetry, simt) writes one JSON
-    artifact at the repo root. {!scan} normalizes each known kind into
+    {!measure} simulates every cell of a {!cells} set once per execution
+    mode and builds a {!snapshot} of
 
-    - {e metrics}: named scalars with a direction ([higher_better]) and
-      the grid config ([quick] or [full]) they were measured under —
-      speedups, coalescing factors, the telemetry overhead as a
-      [1 + pct/100] factor;
-    - {e invariants}: named booleans that must hold outright
-      (fingerprint identity across stepping modes and execution models).
+    - {e metrics}: deterministic simulation numbers, never timings —
+      RegDem's mean occupancy gain and energy factor over baseline, and
+      the total simulated cycles, instructions and divergent branches;
+    - {e invariants}: identities across execution modes that must hold on
+      every cell — fast-forward = brute force, telemetry sink off = on,
+      warp-uniform = [--simt] on uniform kernels — plus two coverage
+      checks (some workload is demoted, some divergent cell diverges).
 
-    {!check} compares a scan against a baseline metric list: each metric
-    present in both (same key {e and} same config — quick and full
-    timings are never comparable) gets a ratio normalized so [>= 1] is
-    an improvement; the check fails when any ratio or the geomean of
-    all ratios falls below [1 - tolerance], or any invariant is false.
-    It also fails on a metric measured under a different config than its
-    baseline entry and on a baseline entry no artifact measures any more,
-    so a retired or re-configured bench must be rebaselined explicitly.
-    A measured metric absent from the baseline is reported as skipped,
-    so adding a bench never breaks the gate retroactively. *)
+    {!check} compares the metrics {e exactly} against a baseline: any
+    changed value, a measured metric missing from the baseline, a
+    baseline key nothing measures, or a broken invariant fails it.
+    Wall-clock timing lives in [perfbench/], not here. *)
 
-type metric = {
-  key : string;  (** e.g. ["cycle_skip.max_speedup"] *)
-  value : float;
-  higher_better : bool;
-  config : string;  (** ["quick"] | ["full"] (or [""] when unstated) *)
+type metric = { key : string; value : float }
+
+(** [failing] names the cells (["workload/technique"]) that break the
+    invariant, or says why an existence check failed; [[]] means it
+    holds. *)
+type invariant = { inv_key : string; failing : string list }
+
+type snapshot = { metrics : metric list; invariants : invariant list }
+
+type cells = {
+  uniform : Workloads.Spec.t list;
+      (** every technique, fast-forward and brute force, sink off and on *)
+  simt : Workloads.Spec.t list;
+      (** every technique again under [--simt], both stepping modes; must
+          be a subset of [uniform] *)
+  divergent : Workloads.Spec.t list;
+      (** every technique under [--simt], both stepping modes *)
 }
 
-type invariant = { inv_key : string; ok : bool }
-
-type snapshot = {
-  metrics : metric list;
-  invariants : invariant list;
-  sources : string list;  (** artifact filenames ingested, sorted *)
-}
+(** [measure ?cells cfg] runs the pass (serially, one simulation per cell
+    and mode) on [cfg]'s architectures and grids. [cells] defaults to
+    [Registry.all @ Registry.latency_bound], [Registry.figure1] and
+    [Registry.divergent]. *)
+val measure : ?cells:cells -> Exp_config.t -> snapshot
 
 (** Walk up from [start] (default the working directory) to the first
-    directory containing [dune-project] — where the bench artifacts and
-    [bench/trajectory.json] live. *)
+    directory containing [dune-project] — where the baseline lives. *)
 val find_repo_root : ?start:string -> unit -> string option
 
-(** Ingest every [BENCH_*.json] directly under [dir]. Unknown bench
-    kinds and unparseable files are skipped (they appear in no list);
-    the scan never raises. *)
-val scan : dir:string -> snapshot
-
-(** Read a baseline written by {!write_baseline}. *)
+(** Read a baseline written by {!write_baseline}. Every row must be an
+    object of exactly a string ["key"] and a number ["value"], and keys
+    must be unique; anything else is an [Error] naming the row. *)
 val load_baseline : string -> (metric list, string) result
 
-(** Write [snapshot]'s metrics as the new baseline (pretty JSON). *)
+(** Write [snapshot]'s metrics as the new baseline. *)
 val write_baseline : string -> snapshot -> unit
 
-type verdict = {
-  v_key : string;
-  v_config : string;
-  current : float;
-  baseline : float;
-  ratio : float;  (** normalized: [>= 1] is an improvement *)
-}
-
-type outcome = {
-  compared : verdict list;
-  skipped : (string * string) list;  (** key, reason *)
-  geomean : float option;  (** of all compared ratios; [None] if none *)
-  failures : string list;  (** empty = the check passes *)
-}
-
-(** [check ~tolerance snapshot baseline] — [tolerance] (default [0.05])
-    is the allowed fractional slowdown per metric and on the geomean. *)
-val check : ?tolerance:float -> snapshot -> metric list -> outcome
+(** [check snapshot baseline] is the list of failures; [[]] passes. *)
+val check : snapshot -> metric list -> string list
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
-val pp_outcome : Format.formatter -> outcome -> unit
+(** Prints [PASS], or [FAIL] and each failure. *)
+val pp_failures : Format.formatter -> string list -> unit

@@ -1,6 +1,7 @@
-(* Json_check's printer on hostile inputs and the perf-trajectory report
-   — including the gate's negative tests: a synthetic 20% regression, a
-   config mismatch and a stale baseline key must all fail. *)
+(* Json_check's printer on hostile inputs and the reproduction report —
+   including the gate's negative tests: a moved metric, a malformed
+   baseline row, a missing or stale key and a broken invariant must all
+   fail. *)
 
 module J = Telemetry.Json_check
 module Report = Experiments.Report
@@ -71,7 +72,7 @@ let test_json_deep_nesting () =
   in
   Alcotest.(check int) "depth preserved" depth (peel 0 (J.parse s))
 
-(* --- perf-trajectory report -------------------------------------------- *)
+(* --- reproduction report ------------------------------------------------ *)
 
 let with_temp_dir f =
   let dir = Filename.temp_file "regmutex_report" "" in
@@ -88,160 +89,133 @@ let write dir name s =
   output_string oc s;
   close_out oc
 
-let cycle_json ?(speedup = 4.0) ?(identical = true) () =
-  Printf.sprintf
-    "{\"bench\": \"cycle_skip\", \"config\": \"quick\", \"max_speedup\": %g, \
-     \"all_identical\": %b, \"cells\": []}"
-    speedup identical
+(* The measuring pass on a small cell set: one Figure-1 kernel (which
+   RegDem demotes) as the uniform and --simt set, the divergent registry,
+   every grid at its 4-CTA minimum. *)
+let small_cfg = { Experiments.Exp_config.quick with grid_scale = 0. }
 
-let regdem_json () =
-  "{\"bench\": \"regdem\", \"config\": \"quick\", \"mean_occupancy_gain\": 1.5,\n\
-   \"mean_energy_factor\": 2.0, \"all_identical\": true,\n\
-   \"demotion_applied\": true, \"cells\": []}"
+let small_snapshot =
+  lazy
+    (Report.measure
+       ~cells:
+         {
+           Report.uniform = [ Workloads.Registry.find "SAD" ];
+           simt = [ Workloads.Registry.find "SAD" ];
+           divergent = Workloads.Registry.divergent;
+         }
+       small_cfg)
 
-let test_report_scan () =
-  with_temp_dir (fun dir ->
-      write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_regdem.json" (regdem_json ());
-      write dir "BENCH_bogus.json" "{\"bench\": \"unknown\"}";
-      write dir "BENCH_broken.json" "{not json";
-      write dir "NOT_A_BENCH.json" "{}";
-      let snap = Report.scan ~dir in
-      Alcotest.(check (list string))
-        "only known artifacts ingested"
-        [ "BENCH_cycle_skip.json"; "BENCH_regdem.json" ]
-        snap.Report.sources;
-      let find key =
-        match
-          List.find_opt (fun m -> m.Report.key = key) snap.Report.metrics
-        with
-        | Some m -> m
-        | None -> Alcotest.failf "metric %s missing" key
-      in
-      Alcotest.(check (float 1e-9)) "cycle metric" 4.0
-        (find "cycle_skip.max_speedup").Report.value;
-      Alcotest.(check (float 1e-9)) "occupancy gain" 1.5
-        (find "regdem.mean_occupancy_gain").Report.value;
-      let energy = find "regdem.mean_energy_factor" in
-      Alcotest.(check (float 1e-9)) "energy factor" 2.0 energy.Report.value;
-      Alcotest.(check bool) "a cost is lower-is-better" false
-        energy.Report.higher_better;
-      Alcotest.(check int) "invariants collected" 3
-        (List.length snap.Report.invariants))
+let metric key value = { Report.key; value }
+
+let test_report_measure () =
+  let snap = Lazy.force small_snapshot in
+  Alcotest.(check (list string))
+    "metric keys"
+    [ "regdem.mean_occupancy_gain"; "regdem.mean_energy_factor";
+      "total.cycles"; "total.instructions"; "total.divergent_branches" ]
+    (List.map (fun m -> m.Report.key) snap.Report.metrics);
+  List.iter
+    (fun i ->
+      Alcotest.(check (list string)) i.Report.inv_key [] i.Report.failing)
+    snap.Report.invariants;
+  Alcotest.(check int) "six invariants" 6 (List.length snap.Report.invariants);
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (m.Report.key ^ " positive")
+        true (m.Report.value > 0.))
+    snap.Report.metrics
 
 let test_report_baseline_round_trip () =
   with_temp_dir (fun dir ->
-      write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_regdem.json" (regdem_json ());
-      let snap = Report.scan ~dir in
-      let path = Filename.concat dir "trajectory.json" in
+      let snap = Lazy.force small_snapshot in
+      let path = Filename.concat dir "report.json" in
       Report.write_baseline path snap;
-      match Report.load_baseline path with
+      (match Report.load_baseline path with
       | Error e -> Alcotest.failf "load_baseline: %s" e
       | Ok base ->
-          Alcotest.(check int) "all metrics persisted"
-            (List.length snap.Report.metrics)
-            (List.length base);
-          let o = Report.check snap base in
-          Alcotest.(check int) "everything compared"
-            (List.length snap.Report.metrics)
-            (List.length o.Report.compared);
-          Alcotest.(check (list (pair string string))) "nothing skipped" []
-            o.Report.skipped;
-          (match o.Report.geomean with
-          | Some g -> Alcotest.(check (float 1e-9)) "self-geomean is 1" 1.0 g
-          | None -> Alcotest.fail "no geomean");
+          Alcotest.(check bool) "every value persisted exactly" true
+            (base = snap.Report.metrics);
           Alcotest.(check (list string)) "self-check passes" []
-            o.Report.failures)
+            (Report.check snap base));
+      (* Malformed baselines are errors, never silently thinned rows. *)
+      let rows r = Printf.sprintf "{\"metrics\": [%s]}" r in
+      List.iter
+        (fun (what, text) ->
+          write dir "bad.json" text;
+          match Report.load_baseline (Filename.concat dir "bad.json") with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s loaded" what)
+        [ ("string value", rows {|{"key":"a","value":"1.72"}|});
+          ("null value", rows {|{"key":"a","value":null}|});
+          ("missing value", rows {|{"key":"a"}|});
+          ("numeric key", rows {|{"key":1,"value":1}|});
+          ("extra field", rows {|{"key":"a","value":1,"config":"quick"}|});
+          ("non-object row", rows "1");
+          ( "duplicate key",
+            rows {|{"key":"a","value":1},{"key":"a","value":1}|} );
+          ("no metrics array", {|{"rows": []}|});
+          ("not an object", "[]");
+          ("not json", "{not json") ];
+      match Report.load_baseline (Filename.concat dir "absent.json") with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "missing file loaded")
 
-(* The acceptance negative test: degrade every metric by 20% (inflate the
-   lower-is-better ones) and the 5%-tolerance check must fail, on the
-   individual metrics and on the geomean. *)
+(* Exact comparison: every metric moved by 20% in either direction, or
+   by one ulp, fails on its own. *)
 let test_report_synthetic_regression () =
-  with_temp_dir (fun dir ->
-      write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_regdem.json" (regdem_json ());
-      write dir "BENCH_telemetry_overhead.json"
-        "{\"bench\": \"telemetry_overhead\", \"config\": \"quick\", \
-         \"overhead_on_pct\": 2.0, \"all_identical\": true}";
-      let snap = Report.scan ~dir in
-      let inflated =
-        List.map
-          (fun m ->
-            {
-              m with
-              Report.value =
-                (if m.Report.higher_better then m.Report.value /. 0.8
-                 else m.Report.value *. 0.8);
-            })
-          snap.Report.metrics
-      in
-      let o = Report.check snap inflated in
-      (match o.Report.geomean with
-      | Some g ->
-          Alcotest.(check bool) "geomean reflects the 20% drop" true
-            (Float.abs (g -. 0.8) < 1e-6)
-      | None -> Alcotest.fail "no geomean");
-      Alcotest.(check int) "every metric flagged plus the geomean"
-        (List.length snap.Report.metrics + 1)
-        (List.length o.Report.failures);
-      (* Within tolerance: a 3% dip passes a 5% gate but fails a 1% one. *)
-      let slight =
-        List.map
-          (fun m ->
-            {
-              m with
-              Report.value =
-                (if m.Report.higher_better then m.Report.value /. 0.97
-                 else m.Report.value *. 0.97);
-            })
-          snap.Report.metrics
-      in
-      Alcotest.(check (list string)) "3% dip passes at 5%" []
-        (Report.check ~tolerance:0.05 snap slight).Report.failures;
-      Alcotest.(check bool) "3% dip fails at 1%" true
-        ((Report.check ~tolerance:0.01 snap slight).Report.failures <> []))
+  let snap =
+    {
+      Report.metrics =
+        [ metric "regdem.mean_occupancy_gain" 1.72; metric "total.cycles" 1e6 ];
+      invariants = [ { Report.inv_key = "ff_bf.identical"; failing = [] } ];
+    }
+  in
+  let moved f =
+    List.map
+      (fun m -> { m with Report.value = f m.Report.value })
+      snap.Report.metrics
+  in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check int) what 2 (List.length (Report.check snap (moved f))))
+    [ ("20% down", ( *. ) 0.8); ("20% up", ( *. ) 1.2);
+      ("one ulp", Float.succ) ];
+  Alcotest.(check bool) "a lower baseline fails too" true
+    (List.exists
+       (fun f -> contains f "regdem.mean_occupancy_gain")
+       (Report.check snap
+          [ metric "regdem.mean_occupancy_gain" 0.5;
+            metric "total.cycles" 1e6 ]));
+  Alcotest.(check (list string)) "unchanged passes" []
+    (Report.check snap (moved Fun.id))
 
-let test_report_invariants_and_config_failures () =
-  with_temp_dir (fun dir ->
-      write dir "BENCH_cycle_skip.json" (cycle_json ~identical:false ());
-      let snap = Report.scan ~dir in
-      (* A false invariant fails even with no baseline to compare. *)
-      let o = Report.check snap [] in
-      Alcotest.(check bool) "false invariant fails" true
-        (List.exists
-           (fun f -> contains f "cycle_skip.all_identical")
-           o.Report.failures);
-      let base ?(value = 4.0) ?(config = "quick") key =
-        { Report.key; value; higher_better = true; config }
-      in
-      (* A config mismatch is never compared, and it fails the check. *)
-      let o =
-        Report.check snap [ base ~value:100.0 ~config:"full" "cycle_skip.max_speedup" ]
-      in
-      Alcotest.(check int) "config mismatch not compared" 0
-        (List.length o.Report.compared);
-      Alcotest.(check bool) "config mismatch fails" true
-        (List.exists
-           (fun f ->
-             contains f "cycle_skip.max_speedup" && contains f "config mismatch")
-           o.Report.failures);
-      (* A baseline key no artifact measures any more (a retired bench)
-         fails too, instead of being skipped silently. *)
-      let o =
-        Report.check snap
-          [ base "cycle_skip.max_speedup"; base "retired.warm_speedup" ]
-      in
-      Alcotest.(check bool) "stale baseline key fails" true
-        (List.exists
-           (fun f ->
-             contains f "retired.warm_speedup"
-             && contains f "in baseline but not measured")
-           o.Report.failures);
-      (* A metric the baseline does not know yet stays a skip. *)
-      let o = Report.check snap [] in
-      Alcotest.(check bool) "new metric only skipped" true
-        (List.mem_assoc "cycle_skip.max_speedup" o.Report.skipped))
+let test_report_invariants_and_key_failures () =
+  let snap failing =
+    {
+      Report.metrics = [ metric "total.cycles" 10. ];
+      invariants = [ { Report.inv_key = "ff_bf.identical"; failing } ];
+    }
+  in
+  let base = [ metric "total.cycles" 10. ] in
+  (* A broken invariant fails against a matching baseline and names its
+     cells. *)
+  Alcotest.(check bool) "broken invariant fails" true
+    (List.exists
+       (fun f -> contains f "ff_bf.identical" && contains f "BFS/regmutex")
+       (Report.check (snap [ "BFS/regmutex" ]) base));
+  (* A metric the baseline lacks fails: a new metric is pinned on purpose. *)
+  Alcotest.(check bool) "missing key fails" true
+    (List.exists
+       (fun f -> contains f "total.cycles" && contains f "not in baseline")
+       (Report.check (snap []) []));
+  (* A baseline key nothing measures any more fails too. *)
+  Alcotest.(check bool) "stale baseline key fails" true
+    (List.exists
+       (fun f ->
+         contains f "retired.speedup"
+         && contains f "in baseline but not measured")
+       (Report.check (snap []) (metric "retired.speedup" 2. :: base)))
 
 let test_report_repo_root () =
   match Report.find_repo_root () with
@@ -259,13 +233,13 @@ let suite =
       test_json_floats_round_trip;
     Alcotest.test_case "json: 2000-deep nesting survives" `Quick
       test_json_deep_nesting;
-    Alcotest.test_case "report: scan normalizes known artifacts" `Quick
-      test_report_scan;
+    Alcotest.test_case "report: measured snapshot holds every invariant"
+      `Quick test_report_measure;
     Alcotest.test_case "report: baseline round-trip self-check" `Quick
       test_report_baseline_round_trip;
     Alcotest.test_case "report: 20% synthetic regression fails" `Quick
       test_report_synthetic_regression;
-    Alcotest.test_case "report: invariants and config/stale-key failures"
-      `Quick test_report_invariants_and_config_failures;
+    Alcotest.test_case "report: invariants and missing/stale-key failures"
+      `Quick test_report_invariants_and_key_failures;
     Alcotest.test_case "report: repo root discovery" `Quick
       test_report_repo_root ]
