@@ -347,9 +347,29 @@ let run_file_cmd =
         in
         let arch = arch_of half in
         let options = { Regmutex.Technique.default_options with simt } in
+        (* A kernel the simulator rejects at run time (an unsound
+           extended-register access, or a machine that can never make
+           progress) is an input error like a parse error: one line on
+           stderr and exit 1. *)
+        let fail what =
+          Format.eprintf "%s: %s@." path what;
+          exit 1
+        in
         let run =
-          Regmutex.Runner.execute ~options ~fast_forward:(not no_ff) arch
-            technique kernel
+          match
+            Regmutex.Runner.execute ~options ~fast_forward:(not no_ff) arch
+              technique kernel
+          with
+          | run -> run
+          | exception Gpu_sim.Sm.Verification_failure m ->
+              fail ("verification failure: " ^ m)
+          | exception Gpu_sim.Gpu.Deadlock d ->
+              fail
+                (Printf.sprintf
+                   "deadlock at cycle %d: no warp can issue and no wakeup \
+                    exists (%d/%d CTAs retired)"
+                   d.Gpu_sim.Gpu.dl_cycle d.Gpu_sim.Gpu.dl_retired
+                   d.Gpu_sim.Gpu.dl_grid_ctas)
         in
         Format.printf "%a@." Regmutex.Runner.pp run;
         Format.printf "%a@." Gpu_sim.Stats.pp run.Regmutex.Runner.stats;

@@ -145,6 +145,7 @@ let measure ?(cells = default_cells) cfg =
         mean (fun (b, d) -> energy d /. energy b) regdem_pairs );
       ("total.cycles", total (fun s -> s.Stats.cycles) all_runs);
       ("total.instructions", total (fun s -> s.Stats.instructions) all_runs);
+      ("total.issue_checks", total (fun s -> s.Stats.issue_checks) all_runs);
       ( "total.divergent_branches",
         total (fun s -> s.Stats.divergent_branches) divergent_runs );
     ]

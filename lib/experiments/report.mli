@@ -7,7 +7,10 @@
 
     - {e metrics}: deterministic simulation numbers, never timings —
       RegDem's mean occupancy gain and energy factor over baseline, and
-      the total simulated cycles, instructions and divergent branches;
+      the total simulated cycles, instructions and divergent branches,
+      and the total residual issue checks ({!Gpu_sim.Stats.t.issue_checks},
+      summed over the fast-forward runs: the work counter that shows the
+      schedulers examine the same candidates);
     - {e invariants}: identities across execution modes that must hold on
       every cell — fast-forward = brute force, telemetry sink off = on,
       warp-uniform = [--simt] on uniform kernels — plus two coverage

@@ -11,7 +11,7 @@
 type stats = {
   entries : int;        (** [.run] files in the current version dir *)
   bytes : int;          (** their total size *)
-  version : string;     (** current version tag, e.g. ["v1-abc1234"] *)
+  version : string;     (** current version tag, e.g. ["v2-abc1234"] *)
 }
 
 (** Enable ([Some dir], conventionally ["_results"]) or disable ([None])

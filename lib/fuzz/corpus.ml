@@ -61,8 +61,9 @@ let write_counterexample ~dir (case : Gen.t) failures =
     failures;
   Printf.fprintf oc
     "// replay: dune exec bin/regmutex_cli.exe -- run-file %s --grid %d \
-     --threads %d --params %s\n\n"
-    path case.Gen.grid case.Gen.threads params;
+     --threads %d --params %s%s\n\n"
+    path case.Gen.grid case.Gen.threads params
+    (if List.exists (fun f -> f.Oracle.simt) failures then " --simt" else "");
   Format.fprintf
     (Format.formatter_of_out_channel oc)
     "%a@." Gpu_isa.Program.pp case.Gen.program;

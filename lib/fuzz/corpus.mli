@@ -16,6 +16,7 @@ val load_seeds : dir:string -> int list
 (** Record a failing seed (idempotent; creates [dir] as needed). *)
 val add_seed : dir:string -> seed:int -> kind:Oracle.kind -> unit
 
-(** Write the (shrunk) case to [dir/seed<N>.kern] and return the path. *)
+(** Write the (shrunk) case to [dir/seed<N>.kern] and return the path.
+    The replay line carries [--simt] when any failure was found under it. *)
 val write_counterexample :
   dir:string -> Gen.t -> Oracle.failure list -> string

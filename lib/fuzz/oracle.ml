@@ -61,7 +61,9 @@ let kind_name = function
   | Shared_oob -> "shared-oob"
   | Crash -> "crash"
 
-type failure = { kind : kind; detail : string }
+type failure = { kind : kind; detail : string; simt : bool }
+
+let found_under_simt f = { f with simt = true }
 
 type report = { failures : failure list; injected : bool }
 
@@ -140,7 +142,7 @@ let diff_stats ?(sides = ("fast-forward", "brute-force")) ~label (ff : Stats.t)
 
 let roundtrip_failures prog =
   let failures = ref [] in
-  let fail detail = failures := { kind = Roundtrip; detail } :: !failures in
+  let fail detail = failures := { kind = Roundtrip; simt = false; detail } :: !failures in
   (let printed = Format.asprintf "%a" Program.pp prog in
    match Parser.parse ~name:prog.Program.name printed with
    | reparsed ->
@@ -238,7 +240,7 @@ let forced_split_failures (case : Gen.t) ~expected ~inject =
     match Transform.apply ~bs ~es prog with
     | exception Transform.Unsound violations ->
         ( [ {
-              kind = Unsound_transform;
+              kind = Unsound_transform; simt = false;
               detail =
                 Format.asprintf "transform bs=%d es=%d rejected its own output: %a"
                   bs es
@@ -263,7 +265,7 @@ let forced_split_failures (case : Gen.t) ~expected ~inject =
           { (Gpu.default_config arch policy) with Gpu.record_stores = true; max_cycles }
         in
         let failures = ref [] in
-        let fail kind detail = failures := { kind; detail } :: !failures in
+        let fail kind detail = failures := { kind; detail; simt = false } :: !failures in
         let label =
           Printf.sprintf "srp bs=%d es=%d sections=%d" bs es sections
         in
@@ -374,7 +376,7 @@ let oob_delta ~strict_oob ~base_oob ~label (stats : Stats.t) =
   if strict_oob && stats.Stats.shared_oob <> base_oob then
     Some
       {
-        kind = Shared_oob;
+        kind = Shared_oob; simt = false;
         detail =
           Printf.sprintf "%s: %d out-of-bounds shared accesses vs %d in baseline"
             label stats.Stats.shared_oob base_oob;
@@ -383,7 +385,7 @@ let oob_delta ~strict_oob ~base_oob ~label (stats : Stats.t) =
 
 let technique_failures ts ~expected ~base_oob ~strict_oob =
   let failures = ref [] in
-  let fail kind detail = failures := { kind; detail } :: !failures in
+  let fail kind detail = failures := { kind; detail; simt = false } :: !failures in
   let successes = ref [] in
   List.iter
     (fun tech ->
@@ -457,7 +459,7 @@ let forced_regdem_failures (case : Gen.t) ~expected ~base_oob ~strict_oob ~injec
     match Regdem.transform ~keep ~wpc prog with
     | exception Regdem.Unsound m ->
         ( [ {
-              kind = Unsound_transform;
+              kind = Unsound_transform; simt = false;
               detail =
                 Printf.sprintf "regdem keep=%d wpc=%d rejected its own output: %s"
                   keep wpc m;
@@ -505,7 +507,7 @@ let forced_regdem_failures (case : Gen.t) ~expected ~base_oob ~strict_oob ~injec
             max_cycles }
         in
         let failures = ref [] in
-        let fail kind detail = failures := { kind; detail } :: !failures in
+        let fail kind detail = failures := { kind; detail; simt = false } :: !failures in
         let label = Printf.sprintf "regdem keep=%d wpc=%d" keep wpc in
         (match simulate { config with Gpu.fast_forward = false } kern with
         | Dead d -> fail Deadlock (Printf.sprintf "%s: %s" label d)
@@ -551,10 +553,10 @@ let simt_equiv_failures ts ~base =
         diff_stats ~sides:("simt", "uniform") ~label:"baseline uniform-vs-simt"
           run.Runner.stats base
       with
-      | Some d -> [ { kind = Stats_mismatch; detail = d } ]
+      | Some d -> [ { kind = Stats_mismatch; simt = false; detail = d } ]
       | None -> [])
   | exception Gpu.Deadlock d ->
-      [ { kind = Deadlock;
+      [ { kind = Deadlock; simt = false;
           detail = Format.asprintf "baseline --simt: %a" Gpu.pp_deadlock d } ]
 
 (* Value-safe techniques under true divergence. RegDem is excluded by
@@ -576,7 +578,7 @@ let pp_violations =
    fast-forward contract must hold under SIMT for the heuristic path. *)
 let simt_divergent_failures ts =
   let failures = ref [] in
-  let fail kind detail = failures := { kind; detail } :: !failures in
+  let fail kind detail = failures := { kind; detail; simt = false } :: !failures in
   (match execute ts ~simt:true Technique.Baseline with
   | exception Gpu.Deadlock d ->
       fail Deadlock (Format.asprintf "baseline --simt: %a" Gpu.pp_deadlock d)
@@ -654,7 +656,7 @@ let mask_corrupt_failures (case : Gen.t) ts =
   in
   match (run (), run ~corrupt_mask:2 ()) with
   | exception Gpu.Deadlock d ->
-      [ { kind = Deadlock;
+      [ { kind = Deadlock; simt = false;
           detail = Format.asprintf "mask-corrupt: %a" Gpu.pp_deadlock d } ]
   | clean, bad -> (
       let failures =
@@ -664,7 +666,7 @@ let mask_corrupt_failures (case : Gen.t) ts =
             ~actual:(Stats.lane_store_traces bad.Runner.stats)
         with
         | Some d ->
-            [ { kind = Divergence; detail = "mask-corrupt (lanes): " ^ d } ]
+            [ { kind = Divergence; simt = false; detail = "mask-corrupt (lanes): " ^ d } ]
         | None -> []
       in
       match case.Gen.family with
@@ -679,7 +681,7 @@ let mask_corrupt_failures (case : Gen.t) ts =
               ~actual:(Stats.store_traces bad.Runner.stats)
           with
           | Some d ->
-              { kind = Crash;
+              { kind = Crash; simt = false;
                 detail =
                   "mask-corrupt visible at warp granularity (lane oracle not \
                    strictly stronger here): " ^ d }
@@ -706,15 +708,15 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
           simulate (static_config prog) (Gen.kernel case))
     with
     | Dead d ->
-        { failures = [ { kind = Deadlock; detail = "baseline: " ^ d } ]; injected = false }
+        { failures = [ { kind = Deadlock; simt = false; detail = "baseline: " ^ d } ]; injected = false }
     | Tripped m ->
         (* Static policy never verifies; this cannot happen. *)
-        { failures = [ { kind = Crash; detail = "baseline verification: " ^ m } ];
+        { failures = [ { kind = Crash; simt = false; detail = "baseline verification: " ^ m } ];
           injected = false }
     | Finished base ->
         if base.Stats.timed_out then
           { failures =
-              [ { kind = Timeout;
+              [ { kind = Timeout; simt = false;
                   detail = Printf.sprintf "baseline: exceeded %d cycles" max_cycles } ];
             injected = false }
         else
@@ -746,7 +748,7 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
             | Some (Drop_acquire | Early_release | Drop_mov) -> split ()
             | Some Mask_corrupt ->
                 ( Telemetry.Profile.time simt_phase (fun () ->
-                      mask_corrupt_failures case ts),
+                      List.map found_under_simt (mask_corrupt_failures case ts)),
                   true )
             | None ->
                 let split_failures, _ = split () in
@@ -755,13 +757,14 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
                       roundtrip_failures prog)
                   @ Telemetry.Profile.time techniques_phase (fun () ->
                         technique_failures ts ~expected ~base_oob ~strict_oob)
-                  @ split_failures @ regdem_failures @ simt (),
+                  @ split_failures @ regdem_failures
+                  @ List.map found_under_simt (simt ()),
                   false )
           in
           { failures; injected }
   with e ->
     { failures =
-        [ { kind = Crash;
+        [ { kind = Crash; simt = false;
             detail = Printf.sprintf "unexpected exception: %s" (Printexc.to_string e) } ];
       injected = false }
 

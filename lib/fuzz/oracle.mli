@@ -75,7 +75,13 @@ type kind =
 
 val kind_name : kind -> string
 
-type failure = { kind : kind; detail : string }
+type failure = {
+  kind : kind;
+  detail : string;
+  simt : bool;
+      (** found by the SIMT cross-check, i.e. under [--simt]: a replay of
+          the case needs the flag *)
+}
 
 type report = {
   failures : failure list;

@@ -11,6 +11,7 @@ val popcount : int -> int
     @raise Invalid_argument when [m <= 0]. *)
 val msb : int -> int
 
-(** Index of the lowest set bit of a positive [m].
-    @raise Invalid_argument when [m <= 0]. *)
+(** Index of the lowest set bit of [m] (one multiply and one table read,
+    de Bruijn style). The sign bit does not count.
+    @raise Invalid_argument when no bit below the sign is set. *)
 val lsb : int -> int

@@ -4,165 +4,121 @@ type kind = Gto | Lrr | Two_level of int
 
 type t = {
   kind : kind;
-  id : int;
-  n_schedulers : int;
+  own : int;  (* bitmask of the warp slots this scheduler owns *)
   mutable current : int;
   mutable rr_pos : int;
   mutable active_group : int;
-  mutable min_ready : int;
-      (* lower bound on [ready_at] over this scheduler's Ready slots: set
-         exactly by every complete scan, lowered by {!note_ready} *)
 }
 
 let create kind ~id ~n_schedulers =
   (match kind with
   | Two_level g when g <= 0 -> invalid_arg "Scheduler.create: empty fetch group"
   | Two_level _ | Gto | Lrr -> ());
-  { kind; id; n_schedulers; current = -1; rr_pos = 0; active_group = 0;
-    min_ready = min_int }
+  let own = ref 0 in
+  for slot = Wheel.max_slots - 1 downto 0 do
+    if slot mod n_schedulers = id then own := !own lor (1 lsl slot)
+  done;
+  { kind; own = !own; current = -1; rr_pos = 0; active_group = 0 }
 
-let note_ready t ~ready_at = if ready_at < t.min_ready then t.min_ready <- ready_at
-
-let owns t ~slot = slot mod t.n_schedulers = t.id
+let owns t ~slot = t.own land (1 lsl slot) <> 0
 
 (* Candidate ordering packed into one int — [(priority, age)] compared
-   lexicographically — so the per-cycle scan over every warp slot reads one
-   precomputed key per candidate and allocates nothing. Ages beyond the
-   field width saturate instead of spilling into the priority bits, so
-   priority still dominates at the limit (ties then fall back to the
-   first/lowest-slot candidate, exactly as equal keys always have). *)
+   lexicographically — so a pick reads one precomputed key per candidate
+   and allocates nothing. Ages beyond the field width saturate instead of
+   spilling into the priority bits, so priority still dominates at the
+   limit (ties then fall back to the first/lowest-slot candidate, exactly
+   as equal keys always have). *)
 let age_bits = 50
 let age_mask = (1 lsl age_bits) - 1
 let pack_key ~priority ~age = (priority lsl age_bits) lor min age age_mask
 
-(* A candidate must pass the slot-local prefix — a resident warp in
-   [Ready] status whose scoreboard bound has passed — before the residual
-   [can_issue] check (memory slots and register-policy state, owned by the
-   SM). The residual check carries the acquire-stall side effects of a
-   real issue attempt, so candidates are visited in exactly the order the
-   record-based scan did: increasing slot.
-
-   Every scan also folds the [ready_at] of each Ready slot it passes into
-   [lo]; a scan that visited every owned slot without issuing stores it
-   as the exact [min_ready]. The scan bodies are plain loops over refs
-   (no local closures) and inline the prefix by hand: they are the
-   hottest loops in the simulator and the non-flambda compiler neither
+(* Every pick visits the set bits of a candidate mask ([due] restricted to
+   the scheduler's own slots, and to one fetch group or one side of the
+   round-robin pointer) lowest first: the residual [can_issue] carries the
+   acquire-stall side effects of a real issue attempt, so candidates are
+   offered in increasing slot order, as a scan over every slot would.
+   The loops are plain [while]s over refs, with no local closures: they
+   are the simulator's hottest code and the non-flambda compiler neither
    unboxes closure-captured refs nor reliably inlines tiny calls. *)
 
-let scan_best t ~(soa : Soa.t) ~cycle ~can_issue =
-  let status = soa.Soa.status in
-  let ready_at = soa.Soa.ready_at in
+(* The candidate of [m] with the smallest key that [can_issue] accepts,
+   or -1. *)
+let best_of ~(soa : Soa.t) ~can_issue m =
   let key = soa.Soa.key in
   let best = ref (-1) in
   let best_key = ref max_int in
-  let lo = ref max_int in
-  let slot = ref t.id in
-  while !slot < soa.Soa.n_slots do
-    let s = !slot in
-    if status.(s) = Soa.st_ready then begin
-      let r = ready_at.(s) in
-      if r < !lo then lo := r;
-      if r <= cycle && can_issue s then begin
-        let k = key.(s) in
-        if k < !best_key then begin
-          best_key := k;
-          best := s
-        end
+  let m = ref m in
+  while !m <> 0 do
+    let s = Gpu_isa.Bits.lsb !m in
+    if can_issue s then begin
+      let k = key.(s) in
+      if k < !best_key then begin
+        best_key := k;
+        best := s
       end
     end;
-    slot := s + t.n_schedulers
+    m := !m land (!m - 1)
   done;
-  t.min_ready <- !lo;
   !best
 
-let pick_gto t ~(soa : Soa.t) ~cycle ~can_issue =
+(* The lowest candidate of [m] that [can_issue] accepts, or -1. *)
+let first_of ~can_issue m =
+  let found = ref (-1) in
+  let m = ref m in
+  while !found < 0 && !m <> 0 do
+    let s = Gpu_isa.Bits.lsb !m in
+    if can_issue s then found := s;
+    m := !m land (!m - 1)
+  done;
+  !found
+
+let pick_gto t ~soa ~cand ~can_issue =
   let cur = t.current in
-  if
-    cur >= 0
-    && cur < soa.Soa.n_slots
-    && soa.Soa.status.(cur) = Soa.st_ready
-    && soa.Soa.ready_at.(cur) <= cycle
-    && can_issue cur
-  then cur
+  if cur >= 0 && cand land (1 lsl cur) <> 0 && can_issue cur then cur
   else begin
-    let s = scan_best t ~soa ~cycle ~can_issue in
+    let s = best_of ~soa ~can_issue cand in
     if s >= 0 then t.current <- s;
     s
   end
 
-let pick_lrr t ~(soa : Soa.t) ~cycle ~can_issue =
-  let n_slots = soa.Soa.n_slots in
-  let status = soa.Soa.status in
-  let ready_at = soa.Soa.ready_at in
-  let found = ref (-1) in
-  let lo = ref max_int in
-  let tried = ref 0 in
-  let slot = ref t.rr_pos in
-  while !found < 0 && !tried < n_slots do
-    let s = if !slot >= n_slots then 0 else !slot in
-    if owns t ~slot:s && status.(s) = Soa.st_ready then begin
-      let r = ready_at.(s) in
-      if r < !lo then lo := r;
-      if r <= cycle && can_issue s then found := s
-    end;
-    slot := s + 1;
-    incr tried
-  done;
-  if !found >= 0 then t.rr_pos <- !found + 1 else t.min_ready <- !lo;
-  !found
+(* Loose round-robin: the slots from [rr_pos] up, then the ones below. *)
+let pick_lrr t ~cand ~can_issue =
+  let below = (1 lsl t.rr_pos) - 1 in
+  let s = first_of ~can_issue (cand land lnot below) in
+  let s = if s >= 0 then s else first_of ~can_issue (cand land below) in
+  if s >= 0 then t.rr_pos <- s + 1;
+  s
 
 (* Two-level: drain the active fetch group; when it has no runnable warp,
-   rotate to the next group that does. Groups partition a scheduler's own
-   slots into contiguous runs of [group_size]. *)
-let pick_two_level t ~group_size ~(soa : Soa.t) ~cycle ~can_issue =
+   rotate to the next group that does. Groups partition the slots into
+   contiguous runs of [group_size]. *)
+let pick_two_level t ~group_size ~(soa : Soa.t) ~cand ~can_issue =
   let n_slots = soa.Soa.n_slots in
-  let status = soa.Soa.status in
-  let ready_at = soa.Soa.ready_at in
-  let key = soa.Soa.key in
   let n_groups = (n_slots + group_size - 1) / group_size in
   let found = ref (-1) in
-  let lo = ref max_int in
   let tried = ref 0 in
   let g = ref (t.active_group mod max n_groups 1) in
   while !found < 0 && !tried < n_groups do
-    let best = ref (-1) in
-    let best_key = ref max_int in
-    let hi = (!g + 1) * group_size in
-    let hi = if hi > n_slots then n_slots else hi in
-    for slot = !g * group_size to hi - 1 do
-      if owns t ~slot && status.(slot) = Soa.st_ready then begin
-        let r = ready_at.(slot) in
-        if r < !lo then lo := r;
-        if r <= cycle && can_issue slot then begin
-          let k = key.(slot) in
-          if k < !best_key then begin
-            best_key := k;
-            best := slot
-          end
-        end
-      end
-    done;
-    if !best >= 0 then begin
+    let lo = !g * group_size in
+    let hi = min (lo + group_size) n_slots in
+    let group = ((1 lsl hi) - 1) land lnot ((1 lsl lo) - 1) in
+    let s = best_of ~soa ~can_issue (cand land group) in
+    if s >= 0 then begin
       t.active_group <- !g;
-      found := !best
+      found := s
     end
     else begin
       incr tried;
       g := (!g + 1) mod n_groups
     end
   done;
-  if !found < 0 then t.min_ready <- !lo;
   !found
 
-(* While the clock is below [min_ready] no owned slot passes the
-   scoreboard prefix, so no scan could pick (or call [can_issue] on)
-   anything. *)
-let bounded t ~cycle = cycle < t.min_ready
-
-let pick t ~soa ~cycle ~can_issue =
-  if bounded t ~cycle then -1
+let pick t ~soa ~due ~can_issue =
+  let cand = due land t.own in
+  if cand = 0 then -1
   else
     match t.kind with
-    | Gto -> pick_gto t ~soa ~cycle ~can_issue
-    | Lrr -> pick_lrr t ~soa ~cycle ~can_issue
-    | Two_level group_size -> pick_two_level t ~group_size ~soa ~cycle ~can_issue
+    | Gto -> pick_gto t ~soa ~cand ~can_issue
+    | Lrr -> pick_lrr t ~cand ~can_issue
+    | Two_level group_size -> pick_two_level t ~group_size ~soa ~cand ~can_issue

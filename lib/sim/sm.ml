@@ -50,6 +50,9 @@ type t = {
      context or closures. *)
   ctxs : Exec.ctx array;
   schedulers : Scheduler.t array;
+  wheel : Wheel.t;
+      (* the due mask the schedulers pick from: a slot is filed while
+         Ready, at its [ready_at] *)
   mutable can_issue : int -> bool;
       (* the schedulers' residual eligibility check, built once; it reads
          the clock and the memory-slot answer of the current pick from the
@@ -77,7 +80,6 @@ type t = {
   mutable oldest_cache : int;
   mutable resident_ctas : int;
   mutable resident_warps : int;
-  mutable n_ready : int;    (* slots in [Ready] status *)
   mutable n_barrier : int;  (* slots in [At_barrier] status *)
   mutable retired : int;
   mutable launched_this_cycle : int;
@@ -200,7 +202,7 @@ let rfv_peek_next t ~slot instr =
    the override, or a register-starved CTA deadlocks against it). The
    answer depends only on statuses and ages, which change solely at
    launches and issues, so it is memoized on [state_gen] — a scheduler
-   scan under register pressure probes many candidates per cycle and pays
+   pick under register pressure probes many candidates per cycle and pays
    the O(slots) sweep once instead of per candidate. *)
 let oldest_ready_age t =
   if t.oldest_gen = t.state_gen then t.oldest_cache
@@ -235,8 +237,8 @@ let note_acquire_stall t ~slot ~cycle =
    attempt by the warp's scheduler) records acquire stalls.
 
    [mem_free] is [Mem_system.slot_free] evaluated once by the caller: a
-   scheduler scan (or classification sweep) issues nothing, so the answer
-   cannot change between the candidates of one scan — hoisting it turns a
+   scheduler pick (or classification sweep) issues nothing, so the answer
+   cannot change between the candidates of one pick — hoisting it turns a
    per-candidate cross-module call into an argument read. *)
 let check_ready ~probe t ~mem_free ~slot ~cycle =
   let soa = t.soa in
@@ -294,8 +296,8 @@ let check_ready ~probe t ~mem_free ~slot ~cycle =
 (* [check_warp] answers "can this warp issue right now, and if not, why?"
    for any resident warp — the status/scoreboard prefix plus a probing
    {!check_ready}, so it has no side effects. The issue path and
-   [classify_idle] inline the prefix instead; this serves [idle_summary]
-   (the full-scan reference) and diagnostics. *)
+   [classify_idle] read the prefix from the due mask instead; this serves
+   [idle_summary] (the full-scan reference) and diagnostics. *)
 let check_warp t ~mem_free ~slot ~cycle =
   let soa = t.soa in
   let st = soa.Soa.status.(slot) in
@@ -313,6 +315,7 @@ let check_warp t ~mem_free ~slot ~cycle =
    [pick_mem_free]). Under the static policy the residual is pure and
    collapses to the memory-slot bit. *)
 let can_issue t slot =
+  t.stats.Stats.issue_checks <- t.stats.Stats.issue_checks + 1;
   if t.is_static then t.pick_mem_free || not t.is_global.(t.soa.Soa.pc.(slot))
   else
     match
@@ -413,6 +416,10 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     Array.map (fun i -> match i with Instr.Acquire -> true | _ -> false) instrs
   in
   let n_slots = max (cta_capacity * wpc) 1 in
+  if n_slots > Wheel.max_slots then
+    invalid_arg
+      (Printf.sprintf "Sm.create: %d warp slots (the due mask holds at most %d)"
+         n_slots Wheel.max_slots);
   let n_regs = max prog.Program.n_regs 1 in
   let lanes = if simt then Some cfg.Arch_config.warp_size else None in
   let soa = Soa.create ?lanes ~n_slots ~n_regs () in
@@ -471,6 +478,7 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
        in
        Array.init cfg.n_schedulers (fun id ->
            Scheduler.create kind ~id ~n_schedulers:cfg.n_schedulers));
+    wheel = Wheel.create ~n_slots;
     can_issue = (fun _ -> false) (* see [with_can_issue] *);
     pick_cycle = 0;
     pick_mem_free = false;
@@ -494,7 +502,6 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     oldest_cache = max_int;
     resident_ctas = 0;
     resident_warps = 0;
-    n_ready = 0;
     n_barrier = 0;
     retired = 0;
     launched_this_cycle = -1;
@@ -536,7 +543,13 @@ let srp_in_use t =
   | Ps_static | Ps_owf | Ps_rfv _ -> 0
 let resident_ctas t = t.resident_ctas
 let resident_warps t = t.resident_warps
-let status_counts t = (t.n_ready, t.n_barrier)
+let status_counts t =
+  let w = t.wheel in
+  (Gpu_isa.Bits.popcount (Wheel.due w lor Wheel.waiting w), t.n_barrier)
+
+let due t ~cycle =
+  Wheel.sync t.wheel ~cycle;
+  Wheel.due t.wheel
 let retired_ctas t = t.retired
 
 (* --- CTA launch and retirement ------------------------------------- *)
@@ -561,12 +574,13 @@ let rfv_can_admit t =
 let launch_priority t =
   match t.pstate with Ps_owf -> 1 | Ps_static | Ps_srp _ | Ps_paired _ | Ps_rfv _ -> 0
 
-(* A slot became [Ready] or moved its scoreboard bound: lower its
-   scheduler's [ready_at] bound so the next pick scans again. *)
+(* A slot became [Ready] or moved its scoreboard bound: (re)file it on
+   the wheel at its new [ready_at]. A warp that just parked at a barrier
+   stays unfiled until the release. *)
 let wake_slot t ~slot =
-  let scheds = t.schedulers in
-  Scheduler.note_ready scheds.(slot mod Array.length scheds)
-    ~ready_at:t.soa.Soa.ready_at.(slot)
+  let soa = t.soa in
+  if soa.Soa.status.(slot) = Soa.st_ready then
+    Wheel.file t.wheel ~slot ~at:soa.Soa.ready_at.(slot)
 
 let try_launch t ~global_cta ~cycle =
   (* The slot scan only happens when a slot is known to exist (occupied
@@ -623,7 +637,6 @@ let try_launch t ~global_cta ~cycle =
         done;
         t.resident_ctas <- t.resident_ctas + 1;
         t.resident_warps <- t.resident_warps + n_warps;
-        t.n_ready <- t.n_ready + n_warps;
         t.launched_this_cycle <- cycle;
         t.state_gen <- t.state_gen + 1;
         if t.tracing then
@@ -668,7 +681,6 @@ let maybe_release_barrier t ~cycle cta =
       if soa.Soa.status.(slot) = Soa.st_barrier then begin
         soa.Soa.status.(slot) <- Soa.st_ready;
         t.n_barrier <- t.n_barrier - 1;
-        t.n_ready <- t.n_ready + 1;
         wake_slot t ~slot
       end
     done
@@ -747,7 +759,7 @@ let poison_ext t ~slot =
 let warp_done t ~cycle ~slot cta =
   let soa = t.soa in
   soa.Soa.status.(slot) <- Soa.st_done;
-  t.n_ready <- t.n_ready - 1;
+  Wheel.unfile t.wheel ~slot;
   if t.tracing then
     emit t ~cycle
       (Event_trace.Warp_exited
@@ -960,7 +972,7 @@ let issue t ~slot ~cycle =
         else warp_done t ~cycle ~slot cta
     | Exec.Barrier ->
         soa.Soa.status.(slot) <- Soa.st_barrier;
-        t.n_ready <- t.n_ready - 1;
+        Wheel.unfile t.wheel ~slot;
         t.n_barrier <- t.n_barrier + 1;
         advance t ~slot ~next:(route t ~slot (pc + 1));
         cta.arrived <- cta.arrived + 1;
@@ -1030,6 +1042,14 @@ let rank_block = function
   | Blocked_barrier -> 1
   | Can_issue | Blocked_done -> 0
 
+let stall_reason_of_rank = function
+  | 5 -> Stats.Stall_regs
+  | 4 -> Stats.Stall_acquire
+  | 3 -> Stats.Stall_mem_slot
+  | 2 -> Stats.Stall_deps
+  | 1 -> Stats.Stall_barrier
+  | _ -> Stats.Stall_empty
+
 let stall_reason_of_block = function
   | Can_issue | Blocked_done -> Stats.Stall_empty
   | Blocked_deps -> Stats.Stall_deps
@@ -1068,66 +1088,34 @@ let idle_summary t ~cycle =
   (stall_reason_of_block !best, !wake)
 
 (* Per-cycle idle attribution: only the most specific blockage is needed,
-   not the wakeup bound. The loop reads [status] and [ready_at] directly
-   and calls [check_ready] only for a warp whose scoreboard has cleared.
-   It stops at the highest rank still possible: [max_rank] is the policy's
-   ceiling ([Blocked_regs] only under RFV, [Blocked_acquire] only under
-   SRP/paired/OWF), and with a memory slot free [Blocked_mem] cannot occur,
-   so under the static policy the first warp blocked on dependencies
+   not the wakeup bound. The wheel answers the two lowest ranks from
+   masks and counts: a filed slot that is not yet due is blocked on
+   dependencies, and [n_barrier] counts the parked warps. [check_ready]
+   then runs only on due slots, lowest first, and stops at the highest
+   rank still possible: [max_rank] is the policy's ceiling
+   ([Blocked_regs] only under RFV, [Blocked_acquire] only under
+   SRP/paired/OWF), and with a memory slot free [Blocked_mem] cannot
+   occur, so under the static policy a single dependency-blocked warp
    settles the answer. Runs on every cycle where some scheduler finds
    nothing to issue; {!idle_summary} is the unoptimised reference. *)
-let scan_idle t ~cycle =
-  let soa = t.soa in
-  let status = soa.Soa.status in
-  let ready_at = soa.Soa.ready_at in
+let classify_idle t ~cycle =
+  let w = t.wheel in
+  Wheel.sync w ~cycle;
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
   let ceiling = if t.max_rank = 3 && mem_free then 2 else t.max_rank in
-  let best = ref Blocked_done in
-  let best_rank = ref 0 in
-  let n = soa.Soa.n_slots in
-  let slot = ref 0 in
-  while !slot < n && !best_rank < ceiling do
-    let s = !slot in
-    let st = status.(s) in
-    if st = Soa.st_barrier then begin
-      if !best_rank < 1 then begin
-        best_rank := 1;
-        best := Blocked_barrier
-      end
-    end
-    else if st = Soa.st_ready then begin
-      if ready_at.(s) > cycle then begin
-        if !best_rank < 2 then begin
-          best_rank := 2;
-          best := Blocked_deps
-        end
-      end
-      else begin
-        let reason = check_ready ~probe:true t ~mem_free ~slot:s ~cycle in
-        let rk = rank_block reason in
-        if rk > !best_rank then begin
-          best_rank := rk;
-          best := reason
-        end
-      end
-    end;
-    slot := s + 1
+  let rank =
+    ref (if Wheel.waiting w <> 0 then 2 else if t.n_barrier > 0 then 1 else 0)
+  in
+  let m = ref (Wheel.due w) in
+  while !m <> 0 && !rank < ceiling do
+    let rk =
+      rank_block
+        (check_ready ~probe:true t ~mem_free ~slot:(Gpu_isa.Bits.lsb !m) ~cycle)
+    in
+    if rk > !rank then rank := rk;
+    m := !m land (!m - 1)
   done;
-  stall_reason_of_block !best
-
-(* When every scheduler is [bounded], no [Ready] warp has passed its
-   scoreboard, so each one is [Blocked_deps] and the answer follows from
-   the status counts alone, without a scan. *)
-let rec all_bounded scheds i ~cycle =
-  i >= Array.length scheds
-  || (Scheduler.bounded scheds.(i) ~cycle && all_bounded scheds (i + 1) ~cycle)
-
-let classify_idle t ~cycle =
-  if all_bounded t.schedulers 0 ~cycle then
-    if t.n_ready > 0 then Stats.Stall_deps
-    else if t.n_barrier > 0 then Stats.Stall_barrier
-    else Stats.Stall_empty
-  else scan_idle t ~cycle
+  stall_reason_of_rank !rank
 
 (* --- diagnostics ------------------------------------------------------ *)
 
@@ -1245,22 +1233,28 @@ let can_launch t = t.resident_ctas < t.cta_capacity && rfv_can_admit t
 let step t ~cycle =
   (* Idle classification is pure and the SM state only changes when a
      scheduler issues, so consecutive idle schedulers in the same cycle
-     share one classification instead of rescanning the warps. A scheduler
-     whose [ready_at] bound is still ahead of the clock answers without
-     scanning; the SM keeps that bound sound by calling [wake_slot] at
-     every launch, barrier release and pc advance. *)
+     share one classification. The schedulers pick from the wheel's due
+     mask, synced to this cycle here; the SM keeps it exact by filing a
+     slot ([wake_slot]) at every launch, barrier release and pc advance,
+     and unfiling it at barrier arrival and warp exit. An issue can make
+     another slot due within the cycle (a barrier release), so each pick
+     reads the mask afresh. *)
   let idle_valid = ref false in
   let idle_reason = ref Stats.Stall_empty in
   let issued_any = ref false in
   let scheds = t.schedulers in
+  Wheel.sync t.wheel ~cycle;
   t.pick_cycle <- cycle;
   for i = 0 to Array.length scheds - 1 do
-    (* One scheduler's scan issues nothing, so the memory-slot answer is
+    (* One scheduler's pick issues nothing, so the memory-slot answer is
        constant across its candidates and is captured per pick (an earlier
        scheduler's issue this cycle may have consumed the last slot, so it
        cannot be hoisted above the loop). *)
     t.pick_mem_free <- Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle;
-    let slot = Scheduler.pick scheds.(i) ~soa:t.soa ~cycle ~can_issue:t.can_issue in
+    let slot =
+      Scheduler.pick scheds.(i) ~soa:t.soa ~due:(Wheel.due t.wheel)
+        ~can_issue:t.can_issue
+    in
     if slot >= 0 then begin
       idle_valid := false;
       if not !issued_any then begin

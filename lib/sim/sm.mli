@@ -15,7 +15,9 @@ type t
     stays warp-granular, so a warp-uniform program runs bit-identically in
     both models. [corrupt_mask] clears the given lanes from every warp's
     initial active mask — a fault-injection hook for the fuzz oracle's
-    per-lane-trace self-test (never set in normal runs). *)
+    per-lane-trace self-test (never set in normal runs).
+    @raise Invalid_argument when the SM would hold more than
+    {!Wheel.max_slots} (61) warp slots. *)
 val create :
   ?events:Event_trace.t ->
   ?telemetry:Telemetry.Sink.t ->
@@ -52,11 +54,16 @@ val srp_sections_for :
 val resident_ctas : t -> int
 val resident_warps : t -> int
 
-(** [(ready, barrier)]: the SM's maintained counts of warp slots in
-    [Ready] and [At_barrier] status, which {!classify_idle} answers from
-    when every scheduler's scoreboard bound is ahead of the clock.
-    Exposed for tests. *)
+(** [(ready, barrier)]: the number of warp slots filed on the SM's due
+    wheel (which must be exactly the [Ready] ones) and its maintained
+    count of slots in [At_barrier] status. Exposed for tests. *)
 val status_counts : t -> int * int
+
+(** [due t ~cycle] is the due mask the schedulers pick from at [cycle]:
+    bit [s] is set iff warp slot [s] is [Ready] and its scoreboard is
+    clear ([ready_at <= cycle]). [cycle] must not precede the SM's last
+    stepped cycle. Exposed for tests. *)
+val due : t -> cycle:int -> int
 val retired_ctas : t -> int
 
 (** SRP sections currently acquired (0 for non-SRP policies). *)
@@ -78,11 +85,11 @@ val step : t -> cycle:int -> unit
 (** Attribute an idle scheduler slot to the most specific blockage among
     the resident warps. Pure observation: probing never mutates warp
     state, statistics, or the event trace, no matter how many idle
-    schedulers classify the same cycle. The scan stops at the highest
-    stall rank the policy and the memory-slot state still allow, so it
-    often visits only a prefix of the slots, and none at all while every
-    scheduler's scoreboard bound is ahead of the clock. It always equals
-    [fst (idle_summary t ~cycle)]. *)
+    schedulers classify the same cycle. Dependency and barrier stalls come
+    from the due mask and a count; only due warps are probed, and the
+    probing stops at the highest stall rank the policy and the
+    memory-slot state still allow. [cycle] must not precede the SM's last
+    stepped cycle. It always equals [fst (idle_summary t ~cycle)]. *)
 val classify_idle : t -> cycle:int -> Stats.stall_reason
 
 (** [idle_summary t ~cycle] is {!classify_idle} plus the SM's min-wakeup

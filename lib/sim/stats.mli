@@ -47,6 +47,12 @@ type t = {
   mutable divergent_branches : int;
       (** conditional branches whose active lanes split both ways (each
           pushes a reconvergence-stack entry); 0 without [--simt] *)
+  mutable issue_checks : int;
+      (** calls to the schedulers' residual issue check (memory slot and
+          register-policy state) on Ready, scoreboard-clear candidates — a
+          work counter. Brute-force stepping examines candidates on cycles
+          that fast-forward skips, so it differs between the two modes and
+          stays out of their comparisons and of run fingerprints *)
   stall_cycles : int array;
       (** per-reason idle-slot counters, indexed by {!reason_index}; use
           {!bump_stall} / {!stall_count} rather than indexing directly *)

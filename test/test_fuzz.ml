@@ -238,7 +238,9 @@ let test_corpus_roundtrip () =
   let case = Fuzz.Gen.generate ~seed:17 in
   let path =
     Fuzz.Corpus.write_counterexample ~dir case
-      [ { Fuzz.Oracle.kind = Fuzz.Oracle.Divergence; detail = "line one\nline two" } ]
+      [ { Fuzz.Oracle.kind = Fuzz.Oracle.Divergence;
+          detail = "line one\nline two";
+          simt = false } ]
   in
   (* The artifact must replay through the ordinary parser ([parse_file]
      names the program after the file, so parse the text with the
@@ -251,6 +253,44 @@ let test_corpus_roundtrip () =
     case.Fuzz.Gen.program reparsed;
   Sys.readdir dir
   |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
+  Unix.rmdir dir
+
+(* The replay command a counterexample prints must reproduce it: a
+   failure found by the SIMT cross-check replays only under [--simt]. *)
+let test_replay_line () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "regmutex_fuzz_replay_%d" (Unix.getpid ()))
+  in
+  let case = Fuzz.Gen.generate ~seed:167 in
+  let replay simt =
+    let path =
+      Fuzz.Corpus.write_counterexample ~dir case
+        [ { Fuzz.Oracle.kind = Fuzz.Oracle.Divergence; detail = "d"; simt = false };
+          { Fuzz.Oracle.kind = Fuzz.Oracle.Verification; detail = "v"; simt } ]
+    in
+    let ic = open_in path in
+    let rec find () =
+      let line = input_line ic in
+      if String.starts_with ~prefix:"// replay: " line then line else find ()
+    in
+    let line = find () in
+    close_in ic;
+    Sys.remove path;
+    line
+  in
+  let params =
+    String.concat "," (Array.to_list (Array.map string_of_int case.Fuzz.Gen.params))
+  in
+  let expect suffix =
+    Printf.sprintf
+      "// replay: dune exec bin/regmutex_cli.exe -- run-file %s --grid %d \
+       --threads %d --params %s%s"
+      (Filename.concat dir "seed167.kern") case.Fuzz.Gen.grid
+      case.Fuzz.Gen.threads params suffix
+  in
+  Alcotest.(check string) "found under --simt" (expect " --simt") (replay true);
+  Alcotest.(check string) "warp-uniform" (expect "") (replay false);
   Unix.rmdir dir
 
 let suite =
@@ -267,5 +307,6 @@ let suite =
     Alcotest.test_case "drop-mov shrinks below 20 instructions" `Slow
       test_shrink_drop_mov;
     Alcotest.test_case "corpus round-trip" `Quick test_corpus_roundtrip;
+    Alcotest.test_case "replay line carries --simt" `Quick test_replay_line;
     Alcotest.test_case "deadlock after a frozen episode" `Quick
       test_deadlock_after_frozen_episode ]

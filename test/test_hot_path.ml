@@ -6,11 +6,12 @@
 
    Exactness: [Sm.classify_idle] (the early-exit idle attribution the
    schedulers use every idle cycle) must always agree with the
-   straightforward full scan in [Sm.idle_summary], and the SM's
-   maintained ready/barrier counts it answers from must equal a recount
-   of the warp statuses. Brute-force stepping with an every-cycle
-   observer visits every cycle of the run, so these are compared in
-   every reachable state. *)
+   straightforward full scan in [Sm.idle_summary]; the slots filed on the
+   SM's due wheel and its barrier count must equal a recount of the warp
+   statuses; and the due mask the schedulers pick from must hold exactly
+   the Ready warps whose scoreboard has cleared. Brute-force stepping with
+   an every-cycle observer visits every cycle of the run, so these are
+   compared in every reachable state. *)
 
 open Gpu_sim
 module Technique = Regmutex.Technique
@@ -91,6 +92,18 @@ let check_classification ~arch ~label technique spec =
           List.length (List.filter (fun d -> d.Sm.d_status = status) warps)
         in
         let counts = (recount Warp.Ready, recount Warp.At_barrier) in
+        let due = Gpu_isa.Bits.popcount (Sm.due sm ~cycle) in
+        let recount_due =
+          List.length
+            (List.filter
+               (fun d -> d.Sm.d_status = Warp.Ready && d.Sm.d_ready_at <= cycle)
+               warps)
+        in
+        if due <> recount_due then
+          Alcotest.failf "%s/%s/%s, SM %d, cycle %d: due mask holds %d slots, \
+                          recount of Ready warps with ready_at <= cycle %d"
+            spec.Workloads.Spec.name (Technique.name technique) label i cycle due
+            recount_due;
         if Sm.status_counts sm <> counts then
           Alcotest.failf "%s/%s/%s, SM %d, cycle %d: maintained (ready, barrier) \
                           counts (%d, %d), recount (%d, %d)"

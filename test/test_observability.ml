@@ -112,7 +112,8 @@ let test_report_measure () =
   Alcotest.(check (list string))
     "metric keys"
     [ "regdem.mean_occupancy_gain"; "regdem.mean_energy_factor";
-      "total.cycles"; "total.instructions"; "total.divergent_branches" ]
+      "total.cycles"; "total.instructions"; "total.issue_checks";
+      "total.divergent_branches" ]
     (List.map (fun m -> m.Report.key) snap.Report.metrics);
   List.iter
     (fun i ->

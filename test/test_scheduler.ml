@@ -13,8 +13,18 @@ let pool ?(priority = fun _ -> 0) slots_ages =
     slots_ages;
   soa
 
+(* The due mask a scan over every slot would see: Ready and scoreboard
+   clear at [cycle]. *)
+let due_at (soa : Soa.t) ~cycle =
+  let m = ref 0 in
+  for s = 0 to soa.Soa.n_slots - 1 do
+    if soa.Soa.status.(s) = Soa.st_ready && soa.Soa.ready_at.(s) <= cycle then
+      m := !m lor (1 lsl s)
+  done;
+  !m
+
 let pick ?(cycle = 0) ?(can = fun _ -> true) sched soa =
-  Scheduler.pick sched ~soa ~cycle ~can_issue:can
+  Scheduler.pick sched ~soa ~due:(due_at soa ~cycle) ~can_issue:can
 
 let test_gto_oldest_first () =
   let sched = Scheduler.create Scheduler.Gto ~id:0 ~n_schedulers:1 in
@@ -176,70 +186,210 @@ let test_pick_near_age_limit () =
   in
   Alcotest.(check int) "saturated owner still first" 0 (pick sched2 soa2)
 
-(* The ready_at bound lets [pick] answer -1 without scanning. Drive each
-   scheduler kind through random launches, issues that move a warp's
-   [ready_at], barrier parks and releases, exits and clock ticks, calling
-   [note_ready] exactly where the SM does. Whenever a pick that accepts
-   every candidate returns -1, no owned slot may be Ready with its
-   scoreboard cleared. A first pick per step rejects some candidates, so
-   scans that end with eligible-but-refused warps are covered too. *)
-let prop_bound_hides_no_ready_warp kind name =
+(* The scan the due mask replaced, kept as the reference: every slot in
+   increasing order, the status/scoreboard prefix read from the SoA, then
+   [can_issue]. *)
+type scan_state = {
+  mutable current : int;
+  mutable rr_pos : int;
+  mutable active_group : int;
+}
+
+let reference_pick kind st ~(soa : Soa.t) ~own ~cycle ~can_issue =
+  let n = soa.Soa.n_slots in
+  let eligible s =
+    own s && soa.Soa.status.(s) = Soa.st_ready && soa.Soa.ready_at.(s) <= cycle
+  in
+  let best lo hi =
+    let best = ref (-1) in
+    for s = lo to hi - 1 do
+      if eligible s && can_issue s
+         && (!best < 0 || soa.Soa.key.(s) < soa.Soa.key.(!best))
+      then best := s
+    done;
+    !best
+  in
+  match kind with
+  | Scheduler.Gto ->
+      let cur = st.current in
+      if cur >= 0 && eligible cur && can_issue cur then cur
+      else begin
+        let s = best 0 n in
+        if s >= 0 then st.current <- s;
+        s
+      end
+  | Scheduler.Lrr ->
+      let found = ref (-1) and pos = ref st.rr_pos and tried = ref 0 in
+      while !found < 0 && !tried < n do
+        let s = if !pos >= n then 0 else !pos in
+        if eligible s && can_issue s then found := s;
+        pos := s + 1;
+        incr tried
+      done;
+      if !found >= 0 then st.rr_pos <- !found + 1;
+      !found
+  | Scheduler.Two_level gs ->
+      let n_groups = (n + gs - 1) / gs in
+      let found = ref (-1) and tried = ref 0 in
+      let g = ref (st.active_group mod max n_groups 1) in
+      while !found < 0 && !tried < n_groups do
+        let s = best (!g * gs) (min ((!g + 1) * gs) n) in
+        if s >= 0 then begin
+          st.active_group <- !g;
+          found := s
+        end
+        else begin
+          incr tried;
+          g := (!g + 1) mod n_groups
+        end
+      done;
+      !found
+
+(* Drive each scheduler kind through random launches, issues that move a
+   warp's [ready_at] (some a wheel turn or more ahead), barrier parks and
+   releases, exits, and clock ticks and jumps longer than the wheel,
+   filing and unfiling slots on a [Wheel] exactly where the SM does. At
+   every step the wheel's due mask must equal {Ready and ready_at <=
+   cycle}, and every pick from it must return the reference scan's slot
+   after the same [can_issue] calls, in the same order. Two picks per
+   scheduler and step: the first refuses some candidates, so picks that
+   pass over eligible-but-refused warps are covered too. *)
+let prop_due_pick_matches_scan kind name =
   let gen =
     QCheck2.Gen.(
-      list_size (int_range 1 150) (triple (int_bound 5) (int_bound 11) (int_bound 6)))
+      list_size (int_range 1 150) (triple (int_bound 6) (int_bound 11) (int_bound 11)))
   in
-  Util.qtest ~count:200 ("ready_at bound never hides a ready warp (" ^ name ^ ")") gen
+  Util.qtest ~count:200 ("due-mask pick equals the full scan (" ^ name ^ ")") gen
     (fun ops ->
       let n_slots = 12 and n_sched = 2 in
       let soa = Soa.create ~n_slots ~n_regs:1 () in
+      let wheel = Wheel.create ~n_slots in
       let scheds =
         Array.init n_sched (fun id -> Scheduler.create kind ~id ~n_schedulers:n_sched)
       in
+      let refs =
+        Array.init n_sched (fun _ -> { current = -1; rr_pos = 0; active_group = 0 })
+      in
       let cycle = ref 0 and next_age = ref 0 in
-      let note s =
-        Scheduler.note_ready scheds.(s mod n_sched) ~ready_at:soa.Soa.ready_at.(s)
-      in
-      let issue s d =
-        soa.Soa.ready_at.(s) <- !cycle + d;
-        note s
-      in
       let st s = soa.Soa.status.(s) in
+      let file s = Wheel.file wheel ~slot:s ~at:soa.Soa.ready_at.(s) in
+      (* Odd delays reach past the wheel's span. *)
+      let issue s d =
+        soa.Soa.ready_at.(s) <- (!cycle + if d land 1 = 0 then d else 97 * d);
+        file s
+      in
       List.for_all
         (fun (op, slot, d) ->
           (match op with
           | 0 when st slot = Soa.st_absent ->
               Soa.launch soa ~slot ~cta_slot:0 ~global_cta:0 ~warp_in_cta:slot
                 ~age:!next_age;
-              soa.Soa.key.(slot) <- Scheduler.pack_key ~priority:0 ~age:!next_age;
+              soa.Soa.key.(slot) <- Scheduler.pack_key ~priority:(slot land 1) ~age:!next_age;
               incr next_age;
-              note slot
+              file slot
           | 1 -> cycle := !cycle + d
-          | 2 when st slot = Soa.st_ready -> soa.Soa.status.(slot) <- Soa.st_barrier
+          | 2 when st slot = Soa.st_ready ->
+              soa.Soa.status.(slot) <- Soa.st_barrier;
+              Wheel.unfile wheel ~slot
           | 3 when st slot = Soa.st_barrier ->
               soa.Soa.status.(slot) <- Soa.st_ready;
-              note slot
-          | 4 when st slot = Soa.st_ready -> Soa.retire soa ~slot
+              file slot
+          | 4 when st slot = Soa.st_ready ->
+              Soa.retire soa ~slot;
+              Wheel.unfile wheel ~slot
+          | 5 -> cycle := !cycle + (100 * d) + 1
           | _ -> ());
-          Array.for_all
-            (fun sched ->
-              let refuse s = (s + !cycle) mod 3 = 0 in
-              let pick can_issue = Scheduler.pick sched ~soa ~cycle:!cycle ~can_issue in
-              let s = pick (fun s -> not (refuse s)) in
-              if s >= 0 then issue s d;
-              let s = pick (fun _ -> true) in
-              if s >= 0 then begin
-                issue s d;
-                true
-              end
-              else
-                List.for_all
-                  (fun slot ->
-                    (not (Scheduler.owns sched ~slot))
-                    || st slot <> Soa.st_ready
-                    || soa.Soa.ready_at.(slot) > !cycle)
-                  (List.init n_slots Fun.id))
-            scheds)
+          Wheel.sync wheel ~cycle:!cycle;
+          Wheel.due wheel = due_at soa ~cycle:!cycle
+          && Array.for_all
+               (fun i ->
+                 let sched = scheds.(i) in
+                 let own s = Scheduler.owns sched ~slot:s in
+                 let both accept =
+                   let got = ref [] and want = ref [] in
+                   let s =
+                     Scheduler.pick sched ~soa ~due:(Wheel.due wheel)
+                       ~can_issue:(fun s -> got := s :: !got; accept s)
+                   in
+                   let r =
+                     reference_pick kind refs.(i) ~soa ~own ~cycle:!cycle
+                       ~can_issue:(fun s -> want := s :: !want; accept s)
+                   in
+                   if s >= 0 then issue s d;
+                   s = r && !got = !want
+                 in
+                 both (fun s -> (s + !cycle) mod 3 <> 0) && both (fun _ -> true))
+               (Array.init n_sched Fun.id))
         ops)
+
+(* The wheel on its own against a model that keeps each filed slot's
+   cycle: after every filing, unfiling and clock advance (steps of one
+   cycle up to jumps of two wheel turns, filings up to two turns ahead,
+   some already due), [due] and [waiting] must split the filed slots at
+   the clock. *)
+let prop_wheel_model =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 200)
+        (triple (int_bound 3) (int_bound (Wheel.max_slots - 1)) (int_bound 1100)))
+  in
+  Util.qtest ~count:300 "wheel due mask matches a model" gen (fun ops ->
+      let wheel = Wheel.create ~n_slots:Wheel.max_slots in
+      let filed = Array.make Wheel.max_slots None in
+      let now = ref 0 in
+      List.for_all
+        (fun (op, slot, d) ->
+          (match op with
+          | 0 ->
+              let at = !now + d - 4 in
+              Wheel.file wheel ~slot ~at;
+              filed.(slot) <- Some at
+          | 1 ->
+              Wheel.unfile wheel ~slot;
+              filed.(slot) <- None
+          | 2 ->
+              now := !now + (d land 7);
+              Wheel.sync wheel ~cycle:!now
+          | _ ->
+              now := !now + d;
+              Wheel.sync wheel ~cycle:!now);
+          let due = ref 0 and waiting = ref 0 in
+          Array.iteri
+            (fun s -> function
+              | Some at when at <= !now -> due := !due lor (1 lsl s)
+              | Some _ -> waiting := !waiting lor (1 lsl s)
+              | None -> ())
+            filed;
+          Wheel.due wheel = !due && Wheel.waiting wheel = !waiting)
+        ops)
+
+let test_wheel_limits () =
+  Alcotest.check_raises "62 slots"
+    (Invalid_argument "Wheel.create: 62 warp slots (at most 61)") (fun () ->
+      ignore (Wheel.create ~n_slots:62));
+  let wheel = Wheel.create ~n_slots:Wheel.max_slots in
+  Wheel.file wheel ~slot:60 ~at:5;
+  Wheel.sync wheel ~cycle:4;
+  Alcotest.(check int) "not yet due" 0 (Wheel.due wheel);
+  Wheel.sync wheel ~cycle:3;
+  Wheel.file wheel ~slot:0 ~at:4;
+  Alcotest.(check int) "the clock never runs backwards" 1 (Wheel.due wheel);
+  Wheel.sync wheel ~cycle:5;
+  Alcotest.(check int) "top slot due" ((1 lsl 60) lor 1) (Wheel.due wheel)
+
+(* Every set bit, from the lowest: the de Bruijn index must agree with a
+   shift loop at every position, with and without higher bits and the
+   sign bit set. *)
+let test_lsb () =
+  for k = 0 to 61 do
+    let b = 1 lsl k in
+    List.iter
+      (fun m -> Alcotest.(check int) (Printf.sprintf "lsb, bit %d" k) k (Gpu_isa.Bits.lsb m))
+      [ b; b lor (1 lsl 61); b lor min_int; -b ]
+  done;
+  Alcotest.check_raises "zero"
+    (Invalid_argument "Bits.lsb: argument must have a set bit below the sign")
+    (fun () -> ignore (Gpu_isa.Bits.lsb 0))
 
 let suite =
   [ Alcotest.test_case "GTO picks oldest" `Quick test_gto_oldest_first;
@@ -256,6 +406,9 @@ let suite =
     Alcotest.test_case "packed key order" `Quick test_packed_key_order;
     Alcotest.test_case "packed key saturation" `Quick test_packed_key_saturation;
     Alcotest.test_case "pick near the age limit" `Quick test_pick_near_age_limit;
-    prop_bound_hides_no_ready_warp Scheduler.Gto "GTO";
-    prop_bound_hides_no_ready_warp Scheduler.Lrr "LRR";
-    prop_bound_hides_no_ready_warp (Scheduler.Two_level 3) "two-level" ]
+    prop_due_pick_matches_scan Scheduler.Gto "GTO";
+    prop_due_pick_matches_scan Scheduler.Lrr "LRR";
+    prop_due_pick_matches_scan (Scheduler.Two_level 3) "two-level";
+    prop_wheel_model;
+    Alcotest.test_case "wheel limits and clock" `Quick test_wheel_limits;
+    Alcotest.test_case "lowest set bit" `Quick test_lsb ]

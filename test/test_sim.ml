@@ -183,6 +183,28 @@ let test_capacity_without_sm () =
         [ ("arch", cfg.Exp_config.arch); ("half_arch", cfg.Exp_config.half_arch) ])
     Workloads.Registry.all
 
+(* The due mask is one int, so an SM holds at most 61 warp slots (every
+   arch in the repo has at most 48). *)
+let test_warp_slot_limit () =
+  let sm_with max_warps =
+    let arch =
+      { Util.small_arch with
+        Gpu_uarch.Arch_config.max_warps;
+        max_ctas = max_warps;
+        max_threads = max_warps * 32 }
+    in
+    let kernel = Kernel.make ~name:"t" ~grid_ctas:1 ~cta_threads:32 Util.straight in
+    Sm.create arch ~sm_id:0
+      ~policy:(Util.static_policy Util.straight)
+      ~kernel ~memory:(Memory.create ()) ~stats:(Stats.create ())
+      ~mem_sys:(Mem_system.create arch ~n_sms:1)
+      ~record_stores:false ~trace_warp0:false
+  in
+  Alcotest.(check int) "61 slots fit" 61 (Sm.cta_capacity (sm_with 61));
+  Alcotest.check_raises "62 slots"
+    (Invalid_argument "Sm.create: 62 warp slots (the due mask holds at most 61)")
+    (fun () -> ignore (sm_with 62))
+
 let suite =
   [ Alcotest.test_case "functional results" `Quick test_functional_result;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
@@ -195,4 +217,5 @@ let suite =
     Alcotest.test_case "per-warp instruction counts" `Quick test_per_warp_instruction_counts;
     Alcotest.test_case "theoretical warps" `Quick test_theoretical_warps;
     Alcotest.test_case "capacity and sections without an SM" `Quick
-      test_capacity_without_sm ]
+      test_capacity_without_sm;
+    Alcotest.test_case "at most 61 warp slots" `Quick test_warp_slot_limit ]
